@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "fault/retry.hpp"
@@ -13,6 +14,58 @@
 #include "trace/span.hpp"
 
 namespace ppfs::pfs {
+
+namespace {
+
+/// True when an extent's pieces tile one contiguous file range. Its bytes
+/// are then one run of the caller's buffer, which the server reads into or
+/// writes from directly.
+bool file_contiguous(const std::vector<StripePiece>& pieces) {
+  for (std::size_t i = 1; i < pieces.size(); ++i) {
+    if (pieces[i].file_offset != pieces[i - 1].file_offset + pieces[i - 1].length) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The wire image of one staged RPC. It is allocated once per RPC, not per
+/// attempt, and left uninitialised: the gather or the server writes every
+/// byte before anything reads it.
+std::unique_ptr<std::byte[]> staging_image(ByteCount len) {
+  return std::make_unique_for_overwrite<std::byte[]>(len);
+}
+
+/// Scatter a contiguous stripe-file image into its file-space slots of
+/// `out`, whose first byte is file offset `base`. Only the first `got`
+/// bytes of the image came back from the server; the rest of the extent is
+/// a hole and reads as zeros. Returns the bytes copied from the image.
+ByteCount scatter(const std::vector<StripePiece>& pieces, const std::byte* image,
+                  ByteCount got, std::span<std::byte> out, FileOffset base) {
+  ByteCount cursor = 0;
+  for (const StripePiece& piece : pieces) {
+    std::byte* dst = out.data() + (piece.file_offset - base);
+    const ByteCount n = cursor < got ? std::min<ByteCount>(piece.length, got - cursor) : 0;
+    std::memcpy(dst, image + cursor, n);
+    std::memset(dst + n, 0, piece.length - n);
+    cursor += piece.length;
+  }
+  return std::min(got, cursor);
+}
+
+/// Gather an extent's file-space pieces of `in` (file offset `base` at
+/// in[0]) into one contiguous stripe-file image. Returns the bytes placed.
+ByteCount gather(const std::vector<StripePiece>& pieces, std::span<const std::byte> in,
+                 FileOffset base, std::byte* image) {
+  ByteCount cursor = 0;
+  for (const StripePiece& piece : pieces) {
+    std::memcpy(image + cursor, in.data() + (piece.file_offset - base), piece.length);
+    cursor += piece.length;
+  }
+  return cursor;
+}
+
+}  // namespace
 
 PfsClient::PfsClient(PfsFileSystem& fs, int compute_index, int rank, int nprocs)
     : fs_(fs),
@@ -166,9 +219,21 @@ sim::Task<void> PfsClient::fetch_extent(PfsFileMeta& meta, IoNodeRequest req, Fi
                             trace::code::kRpcData, rank_, /*async=*/true, req.length,
                             static_cast<std::uint64_t>(req.io_index));
 
+  // "Fast Path reads data directly from the disks to the user's buffer":
+  // an extent that is one contiguous file range is read straight into the
+  // caller's span. Any other extent lands in a staging image and is
+  // scattered once the reply is in.
+  std::unique_ptr<std::byte[]> staging;
+  std::span<std::byte> target;
+  if (file_contiguous(req.pieces)) {
+    target = out.subspan(req.pieces.front().file_offset - base, req.length);
+  } else {
+    staging = staging_image(req.length);
+    target = {staging.get(), req.length};
+  }
+
   for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
     PfsServer& srv = fs_.server(req.io_index);
-    std::vector<std::byte> staging(req.length);
     ByteCount got = 0;
     fault::ErrorCause cause{};
     bool failed = false;
@@ -182,11 +247,12 @@ sim::Task<void> PfsClient::fetch_extent(PfsFileMeta& meta, IoNodeRequest req, Fi
       // Request message to the I/O node.
       co_await machine_.mesh().send(mesh_node_, io_node, ctrl);
 
-      // Server reads the stripe file (staging represents the wire image; on
-      // the fast path the real machine DMAs disk->network without a server
-      // copy, so no server CPU copy is charged beyond request handling).
+      // Server reads the stripe file (on the fast path the real machine
+      // DMAs disk->network without a server copy, so no server CPU copy is
+      // charged beyond request handling). A lost reply's bytes are simply
+      // overwritten by the reissue.
       got = co_await srv.read(meta.stripe_inos[req.group_slot], req.local_offset,
-                              req.length, staging, fastpath);
+                              req.length, target, fastpath);
 
       if (srv.crash_epoch() != epoch) {
         throw fault::FaultError(fault::ErrorCause::kNodeDown,
@@ -211,15 +277,14 @@ sim::Task<void> PfsClient::fetch_extent(PfsFileMeta& meta, IoNodeRequest req, Fi
     }
     rpc_span.end(got, static_cast<std::uint64_t>(req.io_index));
 
-    // Scatter the contiguous stripe-file bytes into their file-space slots
-    // in the user buffer ("Fast Path reads data directly from the disks to
-    // the user's buffer" — no extra CPU copy is charged here).
-    ByteCount cursor = 0;
-    for (const StripePiece& piece : req.pieces) {
-      if (cursor >= got) break;
-      const ByteCount n = std::min<ByteCount>(piece.length, got - cursor);
-      std::memcpy(out.data() + (piece.file_offset - base), staging.data() + cursor, n);
-      cursor += n;
+    // Scatter a staged reply into its file-space slots in the user buffer
+    // (no extra CPU copy is charged: the model is the Fast Path's DMA).
+    // Bytes past `got` are a hole: the PFS file goes on, but no write
+    // reached this stripe file that far. Holes read as zeros.
+    if (staging) {
+      rpc_stats_.staged_bytes += scatter(req.pieces, staging.get(), got, out, base);
+    } else {
+      std::memset(target.data() + got, 0, req.length - got);
     }
     co_return;
   }
@@ -241,9 +306,11 @@ sim::Task<void> PfsClient::fetch_coalesced(PfsFileMeta& meta, CoalescedRequest r
                             trace::code::kRpcCoalesced, rank_, /*async=*/true, req.length,
                             static_cast<std::uint64_t>(req.io_index));
 
+  // Scatter-gather keeps its staging image, so the auditor below can hold
+  // the bytes the server reported against the bytes scattered.
+  const auto staging = staging_image(req.length);
   for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
     PfsServer& srv = fs_.server(req.io_index);
-    std::vector<std::byte> staging(req.length);
     std::vector<PfsServer::ExtentOp> ops;
     ops.reserve(req.extents.size());
     ByteCount stage_off = 0;
@@ -252,7 +319,7 @@ sim::Task<void> PfsClient::fetch_coalesced(PfsFileMeta& meta, CoalescedRequest r
       op.ino = meta.stripe_inos[e.group_slot];
       op.local_off = e.local_offset;
       op.len = e.length;
-      op.out = std::span<std::byte>(staging).subspan(stage_off, e.length);
+      op.out = std::span<std::byte>(staging.get() + stage_off, e.length);
       ops.push_back(op);
       stage_off += e.length;
     }
@@ -296,17 +363,9 @@ sim::Task<void> PfsClient::fetch_coalesced(PfsFileMeta& meta, CoalescedRequest r
     // only the surviving attempt scatters).
     ByteCount delivered = 0;
     for (std::size_t i = 0; i < req.extents.size(); ++i) {
-      const CoalescedExtent& e = req.extents[i];
-      const std::span<const std::byte> src = ops[i].out;
-      ByteCount cursor = 0;
-      for (const StripePiece& piece : e.pieces) {
-        if (cursor >= ops[i].got) break;
-        const ByteCount n = std::min<ByteCount>(piece.length, ops[i].got - cursor);
-        std::memcpy(out.data() + (piece.file_offset - base), src.data() + cursor, n);
-        cursor += n;
-        delivered += n;
-      }
+      delivered += scatter(req.extents[i].pieces, ops[i].out.data(), ops[i].got, out, base);
     }
+    rpc_stats_.staged_bytes += delivered;
     if (auto* a = machine_.simulation().auditor()) {
       a->check_coalesce_conservation(machine_.simulation().now(), got, delivered);
     }
@@ -331,21 +390,16 @@ sim::Task<void> PfsClient::store_coalesced(PfsFileMeta& meta, CoalescedRequest r
   // Gather every extent's file-space pieces into one contiguous wire image;
   // the auditor confirms the image holds exactly the union of the merged
   // ranges before it ever hits the wire.
-  std::vector<std::byte> staging(req.length);
+  const auto staging = staging_image(req.length);
   ByteCount gathered = 0;
   {
     ByteCount stage_off = 0;
     for (const CoalescedExtent& e : req.extents) {
-      ByteCount cursor = 0;
-      for (const StripePiece& piece : e.pieces) {
-        std::memcpy(staging.data() + stage_off + cursor,
-                    in.data() + (piece.file_offset - base), piece.length);
-        cursor += piece.length;
-        gathered += piece.length;
-      }
+      gathered += gather(e.pieces, in, base, staging.get() + stage_off);
       stage_off += e.length;
     }
   }
+  rpc_stats_.staged_bytes += gathered;
   if (auto* a = machine_.simulation().auditor()) {
     a->check_coalesce_conservation(machine_.simulation().now(), req.length, gathered);
   }
@@ -360,7 +414,7 @@ sim::Task<void> PfsClient::store_coalesced(PfsFileMeta& meta, CoalescedRequest r
       op.ino = meta.stripe_inos[e.group_slot];
       op.local_off = e.local_offset;
       op.len = e.length;
-      op.in = std::span<const std::byte>(staging).subspan(stage_off, e.length);
+      op.in = std::span<const std::byte>(staging.get() + stage_off, e.length);
       ops.push_back(op);
       stage_off += e.length;
     }
@@ -619,12 +673,17 @@ sim::Task<void> PfsClient::store_extent(PfsFileMeta& meta, IoNodeRequest req, Fi
                             trace::code::kRpcData, rank_, /*async=*/true, req.length,
                             static_cast<std::uint64_t>(req.io_index), trace::kFlagWrite);
 
-  // Gather file-space pieces into the contiguous stripe-file image.
-  std::vector<std::byte> staging(req.length);
-  ByteCount cursor = 0;
-  for (const StripePiece& piece : req.pieces) {
-    std::memcpy(staging.data() + cursor, in.data() + (piece.file_offset - base), piece.length);
-    cursor += piece.length;
+  // An extent that is one contiguous file range is written straight from
+  // the caller's span; any other extent is gathered into the contiguous
+  // stripe-file image first.
+  std::unique_ptr<std::byte[]> staging;
+  std::span<const std::byte> source;
+  if (file_contiguous(req.pieces)) {
+    source = in.subspan(req.pieces.front().file_offset - base, req.length);
+  } else {
+    staging = staging_image(req.length);
+    rpc_stats_.staged_bytes += gather(req.pieces, in, base, staging.get());
+    source = {staging.get(), req.length};
   }
 
   for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
@@ -633,13 +692,13 @@ sim::Task<void> PfsClient::store_extent(PfsFileMeta& meta, IoNodeRequest req, Fi
     bool failed = false;
     try {
       ++rpc_stats_.attempts;
-      // Writes of the same staging image are idempotent, so an ack lost in
-      // a crash is handled by simply rewriting.
+      // Writes of the same bytes are idempotent, so an ack lost in a crash
+      // is handled by simply rewriting.
       const std::uint64_t epoch = srv.crash_epoch();
 
       // Data to the I/O node, then the server write, then the ack.
       co_await machine_.mesh().send(mesh_node_, io_node, req.length);
-      co_await srv.write(meta.stripe_inos[req.group_slot], req.local_offset, staging,
+      co_await srv.write(meta.stripe_inos[req.group_slot], req.local_offset, source,
                          fastpath);
       if (srv.crash_epoch() != epoch) {
         throw fault::FaultError(fault::ErrorCause::kNodeDown,
@@ -1093,9 +1152,16 @@ sim::Task<void> PfsClient::flush_range(FileId file, FileOffset begin, FileOffset
     const FileOffset cb = std::max(b, begin);
     const FileOffset ce = std::min(e, end);
     // Detach the flushed slice BEFORE awaiting: a concurrent writer must
-    // never see the same bytes both dirty and in flight.
-    std::vector<std::byte> data(it->second.begin() + static_cast<std::ptrdiff_t>(cb - b),
-                                it->second.begin() + static_cast<std::ptrdiff_t>(ce - b));
+    // never see the same bytes both dirty and in flight. A slice that is
+    // the whole extent takes the extent's bytes without a copy; it leaves
+    // no head or tail, so the moved-from vector is only erased below.
+    std::vector<std::byte> data;
+    if (cb == b && ce == e) {
+      data = std::move(it->second);
+    } else {
+      data.assign(it->second.begin() + static_cast<std::ptrdiff_t>(cb - b),
+                  it->second.begin() + static_cast<std::ptrdiff_t>(ce - b));
+    }
     std::vector<std::byte> tail;
     if (e > ce) {
       tail.assign(it->second.begin() + static_cast<std::ptrdiff_t>(ce - b),

@@ -87,6 +87,10 @@ struct RpcStats {
   std::uint64_t coalesced_rpcs = 0;     // data RPCs that were scatter-gather
   std::uint64_t coalesced_extents = 0;  // extents those RPCs carried
   std::uint64_t stripe_map_refreshes = 0;  // cached stripe-map (re)loads
+  /// Payload bytes gathered into or scattered out of a staging image. An
+  /// extent that is one contiguous file range moves straight between the
+  /// caller's buffer and the server and adds nothing.
+  ByteCount staged_bytes = 0;
   std::uint64_t retries = 0;          // reissues after a failed attempt
   std::uint64_t retried_ok = 0;       // failed attempts eventually healed by retry
   std::uint64_t down_waits = 0;       // recovery waits for a down I/O node
@@ -162,7 +166,8 @@ class PfsClient : public TokenRevokeHandler {
   /// support asynchronous requests.
   sim::Task<AsyncHandle> iread(int fd, std::span<std::byte> out);
   /// Asynchronous write through the same ART machinery. The caller's
-  /// buffer must stay alive until iowait returns.
+  /// buffer must stay alive and unchanged until iowait returns: the server
+  /// reads it when it serves the write (again on a retry).
   sim::Task<AsyncHandle> iwrite(int fd, std::span<const std::byte> in);
   sim::Task<ByteCount> iowait(AsyncHandle h);
 

@@ -259,7 +259,7 @@ sim::Task<std::optional<ByteCount>> PrefetchEngine::try_serve(int fd, FileOffset
   // buffer bookkeeping plus the memory copy, then move the real bytes.
   co_await client_.cpu().compute(client_.cpu().params().buffer_mgmt_overhead);
   co_await client_.cpu().copy(got);
-  std::memcpy(out.data(), buf->data.data(), got);
+  std::memcpy(out.data(), buf->data.get(), got);
   stats_.bytes_served += got;
   co_return got;
 }
@@ -329,13 +329,13 @@ sim::Task<void> PrefetchEngine::after_read(int fd, FileOffset off, ByteCount len
     buf->offset = p;
     buf->length = len;
     buf->epoch = client_.filesystem().topology_epoch();
-    buf->data.resize(len);
+    buf->data = std::make_unique_for_overwrite<std::byte[]>(len);
     // The posted request travels the same positioned-read path as user
     // I/O, so when extent coalescing / server batching are enabled the
     // prefetch's blocks merge into scatter-gather RPCs and sorted disk
     // sweeps exactly like demand reads — speculation gets no private,
     // slower data path.
-    buf->request = client_.post_prefetch(fd, p, len, buf->data);
+    buf->request = client_.post_prefetch(fd, p, len, {buf->data.get(), len});
     list.add(std::move(buf));
     occupancy_changed(1, static_cast<std::int64_t>(len));
     if (auto* a = auditor()) a->on_buffer_allocated(this);

@@ -30,7 +30,9 @@ struct PrefetchBuffer {
   /// bumps the epoch; a buffer stamped in a dead epoch must never be served
   /// (its bytes may predate the crash) — try_serve discards it instead.
   std::uint64_t epoch = 0;
-  std::vector<std::byte> data;  // compute-node memory holding the block
+  /// Compute-node memory holding the block, `length` bytes. Uninitialised:
+  /// the ART writes it, and nothing reads past `request->result`.
+  std::unique_ptr<std::byte[]> data;
   pfs::AsyncHandle request;     // the asynchronous request that fills it
 
   bool in_flight() const { return request && !request->done.is_set(); }

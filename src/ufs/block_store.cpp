@@ -15,8 +15,11 @@ void ContentStore::write(FileOffset offset, std::span<const std::byte> data) {
         std::min<std::size_t>(data.size() - done, static_cast<std::size_t>(chunk_ - in_chunk));
     auto& chunk = chunks_[chunk_idx];
     if (!chunk) {
-      chunk = std::make_unique<std::byte[]>(chunk_);
-      std::memset(chunk.get(), 0, chunk_);
+      // A fresh chunk: zero only what this write leaves uncovered (unwritten
+      // bytes read back as zero); the copy below fills the rest.
+      chunk = std::make_unique_for_overwrite<std::byte[]>(chunk_);
+      std::memset(chunk.get(), 0, in_chunk);
+      std::memset(chunk.get() + in_chunk + n, 0, chunk_ - in_chunk - n);
     }
     std::memcpy(chunk.get() + in_chunk, data.data() + done, n);
     pos += n;

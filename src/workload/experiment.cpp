@@ -293,7 +293,11 @@ ExperimentResult Experiment::run(const WorkloadSpec& w, trace::TraceSink* sink,
 
   // Snapshot client stats so only the read phase is measured.
   std::vector<sim::SimTime> read_time_base(N);
-  for (int r = 0; r < N; ++r) read_time_base[r] = clients[r]->stats().read_time;
+  std::vector<ByteCount> staged_base(N);
+  for (int r = 0; r < N; ++r) {
+    read_time_base[r] = clients[r]->stats().read_time;
+    staged_base[r] = clients[r]->rpc_stats().staged_bytes;
+  }
 
   // --- arm the fault plan (event times relative to the read-phase start) ---
   fault::FaultInjector injector(machine, fs);
@@ -360,6 +364,7 @@ ExperimentResult Experiment::run(const WorkloadSpec& w, trace::TraceSink* sink,
     res.coalesced_rpcs += rpc.coalesced_rpcs;
     res.coalesced_extents += rpc.coalesced_extents;
     res.stripe_map_refreshes += rpc.stripe_map_refreshes;
+    res.staged_bytes += rpc.staged_bytes - staged_base[r];
     res.faults.rpc_retries += rpc.retries;
     res.faults.rpc_down_waits += rpc.down_waits;
     res.faults.rpc_timeouts += rpc.timeouts;

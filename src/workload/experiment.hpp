@@ -78,6 +78,11 @@ struct ExperimentResult {
   std::uint64_t coalesced_rpcs = 0;
   std::uint64_t coalesced_extents = 0;
   std::uint64_t stripe_map_refreshes = 0;
+  /// Payload bytes that went through a client staging image
+  /// (RpcStats::staged_bytes) in the measured phase. Experiment::run leaves
+  /// the populate writes out: their 1 MB chunks are multi-piece extents on
+  /// a wide stripe, so they are always staged.
+  ByteCount staged_bytes = 0;
 
   /// Data-path instrumentation: mesh segmentation and server batching.
   std::uint64_t mesh_segmented_messages = 0;

@@ -73,13 +73,19 @@ struct WorkloadSpec {
   fault::FaultPlan faults;
 };
 
+inline constexpr std::uint64_t kPatternTagMul = 0x9e3779b97f4a7c15ull;
+inline constexpr std::uint64_t kPatternOffMul = 0xbf58476d1ce4e5b9ull;
+
 /// Deterministic file content so any data path bug is observable: byte at
-/// offset `off` of the file tagged `tag` mixes both values.
+/// offset `off` of the file tagged `tag` mixes both values. This is the one
+/// definition of file content; fill_pattern and find_pattern_mismatch
+/// produce exactly these bytes, a 64-bit word at a time.
 inline std::byte pattern_byte(std::uint64_t tag, std::uint64_t off) {
-  const std::uint64_t x = (tag * 0x9e3779b97f4a7c15ull) ^ (off * 0xbf58476d1ce4e5b9ull);
+  const std::uint64_t x = (tag * kPatternTagMul) ^ (off * kPatternOffMul);
   return static_cast<std::byte>((x >> 32) & 0xff);
 }
 
+/// out[i] = pattern_byte(tag, start + i).
 void fill_pattern(std::uint64_t tag, FileOffset start, std::span<std::byte> out);
 
 // Offset plans for the noncontiguous patterns; shared by the reader's seek

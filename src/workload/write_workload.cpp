@@ -287,6 +287,7 @@ ExperimentResult run_rounds(const WriteWorkloadSpec& spec) {
     res.coalesced_rpcs += rpc.coalesced_rpcs;
     res.coalesced_extents += rpc.coalesced_extents;
     res.stripe_map_refreshes += rpc.stripe_map_refreshes;
+    res.staged_bytes += rpc.staged_bytes;
     res.faults.rpc_retries += rpc.retries;
     res.faults.rpc_down_waits += rpc.down_waits;
     res.faults.rpc_timeouts += rpc.timeouts;

@@ -3,6 +3,7 @@
 // machine, every I/O mode, async reads, coordination services.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -319,6 +320,124 @@ TEST(PfsClient, ReadPastEofClampsAndReturnsZeroAtEof) {
     EXPECT_EQ(co_await t.clients[0]->read(fd, buf), 0u);
     t.clients[0]->close(fd);
   }(tb));
+}
+
+TEST(PfsClient, ReadAcrossEofLeavesBytesPastTheCountUntouched) {
+  // Two clamped reads that cross EOF. From 40 KB in a 100 KB file, each
+  // slot's extent is one piece, which is read straight into the caller's
+  // buffer. From 0 in a 600 KB file, slots 0-1 get two pieces each, which
+  // go through a staging image. Either way, nothing past the returned
+  // count is written.
+  constexpr auto kSentinel = std::byte{0x5a};
+  struct Case {
+    ByteCount file_size;
+    FileOffset off;
+    ByteCount staged;
+  };
+  for (const Case c : {Case{100 * 1024, 40 * 1024, 0},
+                       Case{600 * 1024, 0, 2 * kSU + (kSU + 24 * 1024)}}) {
+    Testbed tb;
+    tb.populate("f", c.file_size);
+    std::vector<std::byte> buf(1024 * 1024, kSentinel);
+    ByteCount got = 0;
+    run_task(tb.sim, [](Testbed& t, FileOffset o, std::span<std::byte> out,
+                        ByteCount& n) -> Task<void> {
+      const int fd = co_await t.clients[1]->open("f", IoMode::kAsync);
+      n = co_await t.clients[1]->read_at(fd, o, out.size(), out, true);
+      t.clients[1]->close(fd);
+    }(tb, c.off, buf, got));
+    ASSERT_EQ(got, c.file_size - c.off);
+    EXPECT_TRUE(check_pattern(std::span<const std::byte>(buf).first(got), 1, c.off));
+    for (std::size_t i = got; i < buf.size(); ++i) {
+      ASSERT_EQ(buf[i], kSentinel) << "byte " << i << " past the count was written";
+    }
+    EXPECT_EQ(tb.clients[1]->rpc_stats().staged_bytes, c.staged);
+  }
+}
+
+TEST(PfsClient, HolesReadAsZerosOnBothPaths) {
+  // Units 0-7 and 9 are written, unit 8 never is: stripe file 0 ends one
+  // unit before the PFS file does. Reading all ten units stages slot 0's
+  // two-piece extent (units 0 and 8); reading unit 8 alone is one piece,
+  // read straight into the buffer. Both count the hole and fill it with
+  // zeros, and staged_bytes counts only the bytes the servers returned.
+  Testbed tb;
+  tb.fs.create("h", tb.fs.default_attrs());
+  const auto head = make_pattern(1, 0, 8 * kSU);
+  const auto tail = make_pattern(1, 9 * kSU, kSU);
+  run_task(tb.sim, [](Testbed& t, std::span<const std::byte> h,
+                      std::span<const std::byte> tl) -> Task<void> {
+    auto& c = *t.clients[0];
+    const int fd = co_await c.open("h", IoMode::kAsync);
+    co_await c.write(fd, h);
+    co_await c.seek(fd, 9 * kSU);
+    co_await c.write(fd, tl);
+    c.close(fd);
+  }(tb, head, tail));
+
+  constexpr auto kSentinel = std::byte{0x5a};
+  std::vector<std::byte> all(10 * kSU, kSentinel);
+  std::vector<std::byte> unit8(kSU, kSentinel);
+  run_task(tb.sim, [](Testbed& t, std::span<std::byte> a, std::span<std::byte> u) -> Task<void> {
+    auto& c = *t.clients[1];
+    const int fd = co_await c.open("h", IoMode::kAsync);
+    EXPECT_EQ(co_await c.read_at(fd, 0, a.size(), a, true), a.size());
+    EXPECT_EQ(co_await c.read_at(fd, 8 * kSU, u.size(), u, true), u.size());
+    c.close(fd);
+  }(tb, all, unit8));
+  const auto is_zero = [](std::byte b) { return b == std::byte{0}; };
+  const std::span<const std::byte> got(all);
+  EXPECT_TRUE(check_pattern(got.first(8 * kSU), 1, 0));
+  EXPECT_TRUE(std::all_of(got.begin() + 8 * kSU, got.begin() + 9 * kSU, is_zero));
+  EXPECT_TRUE(check_pattern(got.subspan(9 * kSU), 1, 9 * kSU));
+  EXPECT_TRUE(std::all_of(unit8.begin(), unit8.end(), is_zero));
+  // Slot 0 returned unit 0 only; slot 1 returned units 1 and 9.
+  EXPECT_EQ(tb.clients[1]->rpc_stats().staged_bytes, 3 * kSU);
+}
+
+TEST(PfsClient, MultiPieceExtentsAreStagedExactlyAndStayByteExact) {
+  // 640 KB from 32 KB over eight 64 KB stripe units. Slots 0-2 each get two
+  // pieces (32+64, 64+64 and 64+32 KB), so they take the staged path; slots
+  // 3-7 get one piece each and skip it. staged_bytes counts exactly the
+  // scattered bytes.
+  Testbed tb;
+  tb.populate("f", 1024 * 1024);
+  std::vector<std::byte> buf(640 * 1024);
+  ByteCount got = 0;
+  run_task(tb.sim, [](Testbed& t, std::span<std::byte> out, ByteCount& n) -> Task<void> {
+    const int fd = co_await t.clients[1]->open("f", IoMode::kAsync);
+    n = co_await t.clients[1]->read_at(fd, 32 * 1024, out.size(), out, true);
+    t.clients[1]->close(fd);
+  }(tb, buf, got));
+  EXPECT_EQ(got, buf.size());
+  EXPECT_TRUE(check_pattern(buf, 1, 32 * 1024));
+  EXPECT_EQ(tb.clients[1]->rpc_stats().data_rpcs, 8u);
+  EXPECT_EQ(tb.clients[1]->rpc_stats().staged_bytes, 320u * 1024);
+}
+
+TEST(PfsClient, LostReplyOnADirectExtentIsReissuedByteExact) {
+  // io0 crashes while it serves a one-piece extent that is being read
+  // straight into the caller's buffer. The reply is lost; the client waits
+  // out the outage, reissues, and the buffer ends byte-exact.
+  Testbed tb;
+  tb.populate("f", 1024 * 1024);
+  PfsServer& io0 = tb.fs.server(0);
+  const std::uint64_t served_before = io0.requests_served();
+  std::vector<std::byte> buf(kSU, std::byte{0x5a});
+  run_task(tb.sim, [](Testbed& t, PfsServer& srv, std::span<std::byte> out) -> Task<void> {
+    const int fd = co_await t.clients[1]->open("f", IoMode::kAsync);
+    t.sim.call_at(t.sim.now() + 0.002, [&srv] { srv.crash(); });
+    t.sim.call_at(t.sim.now() + 0.030, [&srv] { srv.restore(); });
+    EXPECT_EQ(co_await t.clients[1]->read(fd, out), out.size());
+    t.clients[1]->close(fd);
+  }(tb, io0, buf));
+  EXPECT_TRUE(check_pattern(buf, 1, 0));
+  // Served twice: the attempt whose reply the crash lost, then the reissue.
+  EXPECT_EQ(io0.requests_served() - served_before, 2u);
+  const RpcStats& rpc = tb.clients[1]->rpc_stats();
+  EXPECT_EQ(rpc.retries, 1u);
+  EXPECT_EQ(rpc.retried_ok, 1u);
+  EXPECT_EQ(rpc.staged_bytes, 0u);
 }
 
 TEST(PfsClient, SeekMovesPointer) {

@@ -229,6 +229,34 @@ TEST(PrefetchEngine, FirstReadMissesThenHits) {
   EXPECT_EQ(engine->stats().hits_in_flight, 0u);
 }
 
+TEST(PrefetchEngine, PrefetchReachingEofServesOnlyTheResultBytes) {
+  // A 100 KB file read 64 KB at a time: the one-ahead prefetch of
+  // [64 KB, 128 KB) comes back with 36 KB in an uninitialised 64 KB buffer.
+  // The hit serves exactly those bytes and leaves the rest of the caller's
+  // buffer alone.
+  Testbed tb(1, 8);
+  tb.populate("f", 100 * 1024);
+  auto engine = attach_prefetcher(*tb.clients[0], PrefetchConfig{});
+  constexpr auto kSentinel = std::byte{0x5a};
+  std::vector<std::byte> buf(64 * 1024, kSentinel);
+  ByteCount got = 0;
+  run_task(tb.sim, [](Testbed& t, std::span<std::byte> out, ByteCount& n) -> Task<void> {
+    const int fd = co_await t.clients[0]->open("f", IoMode::kAsync);
+    std::vector<std::byte> first(out.size());
+    co_await t.clients[0]->read(fd, first);  // miss; prefetches the tail
+    co_await t.sim.delay(0.5);
+    n = co_await t.clients[0]->read(fd, out);
+    t.clients[0]->close(fd);
+  }(tb, buf, got));
+  EXPECT_EQ(engine->stats().hits_ready, 1u);
+  EXPECT_EQ(engine->stats().bytes_served, 36u * 1024);
+  ASSERT_EQ(got, 36u * 1024);
+  EXPECT_TRUE(check_pattern(std::span<const std::byte>(buf).first(got), 1, 64 * 1024));
+  for (std::size_t i = got; i < buf.size(); ++i) {
+    ASSERT_EQ(buf[i], kSentinel) << "byte " << i << " past the prefetch result was written";
+  }
+}
+
 TEST(PrefetchEngine, BackToBackReadsHitInFlight) {
   Testbed tb(1, 8);
   tb.populate("f", 1024 * 1024);

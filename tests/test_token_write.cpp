@@ -269,6 +269,41 @@ TEST(TokenWrite, PartialOverlapSplitsTokens) {
   EXPECT_GE(tb.clients[0]->token_stats().revocation_flushes, 1u);
 }
 
+TEST(TokenWrite, RevokedHeadFlushKeepsTheTailDirty) {
+  // a buffers [0, 256K); b's write of [0, 64K) revokes only the head. The
+  // head is sliced out of a's dirty extent and flushed; the rest stays
+  // dirty until a's fsync. Only a flush of a whole extent takes its bytes
+  // without a copy.
+  TokenBed tb;
+  tb.fs.create("f");
+  run_task(tb.sim, [](TokenBed& t) -> Task<void> {
+    auto& a = *t.clients[0];
+    auto& b = *t.clients[1];
+    const int afd = co_await a.open("f", IoMode::kAsync);
+    auto wide = make_pattern(41, 0, 4 * kSU);
+    co_await a.write(afd, wide);
+    const int bfd = co_await b.open("f", IoMode::kAsync);
+    auto head = make_pattern(42, 0, kSU);
+    co_await b.write(bfd, head);
+    EXPECT_EQ(a.token_stats().flushed_bytes, kSU);
+    EXPECT_EQ(a.token_stats().dirty_bytes, 3 * kSU);
+    co_await a.fsync(afd);
+    co_await b.fsync(bfd);
+    std::vector<std::byte> got(4 * kSU);
+    const int cfd = co_await t.clients[2]->open("f", IoMode::kAsync);
+    EXPECT_EQ(co_await t.clients[2]->read(cfd, got), 4 * kSU);
+    EXPECT_TRUE(check_pattern(std::span(got).first(kSU), 42, 0));
+    EXPECT_TRUE(check_pattern(std::span(got).subspan(kSU), 41, kSU));
+    a.close(afd);
+    b.close(bfd);
+    t.clients[2]->close(cfd);
+  }(tb));
+  const TokenCacheStats& a = tb.clients[0]->token_stats();
+  EXPECT_EQ(a.flush_ops, 2u);  // the revoked head, then the tail at fsync
+  EXPECT_EQ(a.flushed_bytes, 4 * kSU);
+  EXPECT_EQ(a.dirty_bytes, 0u);
+}
+
 TEST(TokenWrite, SharedReadTokensDontRevokeEachOther) {
   TokenBed tb;
   tb.fs.create("f");
@@ -361,6 +396,9 @@ TEST(WriteWorkload, CheckpointOwnSlotsVerifiesClean) {
   EXPECT_GT(r.token_rpcs, 0u);
   EXPECT_GT(r.wb_writes, 0u);
   EXPECT_GT(r.wb_flush_ops, 0u);
+  // Every record and peer read-back is one stripe unit per I/O node, so no
+  // payload byte passes through a client staging image.
+  EXPECT_EQ(r.staged_bytes, 0u);
 }
 
 TEST(WriteWorkload, CheckpointConflictingIsSequentiallyConsistent) {

@@ -4,6 +4,7 @@
 // coalescing).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -37,6 +38,25 @@ TEST(ContentStore, RoundTripsAcrossChunkBoundaries) {
   cs.read(4000, back);
   EXPECT_TRUE(check_pattern(back, 7, 4000));
   EXPECT_GE(cs.chunk_count(), 2u);
+}
+
+TEST(ContentStore, PartialWriteOfAFreshChunkLeavesTheRestZero) {
+  // A fresh chunk is allocated uninitialised and only the bytes the first
+  // write leaves uncovered are zeroed. A dirty block of the same size is
+  // freed first, so stale heap bytes would show if that zeroing were lost.
+  {
+    std::vector<std::byte> junk(4096, std::byte{0xff});
+    ASSERT_EQ(junk.back(), std::byte{0xff});
+  }
+  ContentStore cs(4096);
+  const auto data = make_pattern(3, 1000, 2000);
+  cs.write(1000, data);
+  std::vector<std::byte> back(4096, std::byte{0x5a});
+  cs.read(0, back);
+  const auto is_zero = [](std::byte b) { return b == std::byte{0}; };
+  EXPECT_TRUE(std::all_of(back.begin(), back.begin() + 1000, is_zero));
+  EXPECT_TRUE(check_pattern(std::span(back).subspan(1000, 2000), 3, 1000));
+  EXPECT_TRUE(std::all_of(back.begin() + 3000, back.end(), is_zero));
 }
 
 TEST(ContentStore, OverlappingWritesLastWins) {

@@ -131,6 +131,25 @@ TEST(Experiment, ReadAccessTimeGrowsWithRequestSize) {
   EXPECT_LT(t256, t1m);
 }
 
+TEST(Experiment, PaperShapeStagesNoPayloadBytes) {
+  // The paper's experiment: 8x8, M_RECORD, 128 KB per node over 64 KB
+  // units on all eight I/O nodes, one-block-ahead prefetch. Every read
+  // extent is one stripe unit, so each lands straight in its destination
+  // buffer and no byte of the read phase passes through a staging image.
+  Experiment e;
+  WorkloadSpec w;
+  w.mode = IoMode::kRecord;
+  w.request_size = 128 * 1024;
+  w.file_size = 8 * 1024 * 1024;
+  w.compute_delay = 0.025;
+  w.prefetch = true;
+  w.verify = true;
+  const auto res = e.run(w);
+  EXPECT_EQ(res.verify_failures, 0u);
+  EXPECT_GT(res.prefetch.hits_ready + res.prefetch.hits_in_flight, 0u);
+  EXPECT_EQ(res.staged_bytes, 0u);
+}
+
 TEST(Experiment, TooSmallFileThrows) {
   Experiment e(small_machine());
   auto w = small_spec(IoMode::kRecord);
