@@ -27,7 +27,7 @@
 
 #include <cstdint>
 
-#include "prefetch/fd_map.hpp"
+#include "sim/flat_map.hpp"
 
 namespace ppfs::prefetch {
 
@@ -94,7 +94,7 @@ class AdaptiveController {
 
   ControllerParams p_;
   ControllerCounters counters_;
-  FdMap<State> fds_;
+  sim::FlatMap<int, State> fds_;
 };
 
 }  // namespace ppfs::prefetch

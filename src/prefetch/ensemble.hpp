@@ -56,7 +56,7 @@ class EnsemblePredictor final : public Predictor {
   // Declaration order is the tie-break order: the paper's mode-aware rule
   // wins ties so default-shaped workloads keep the prototype's behavior.
   std::array<std::unique_ptr<Predictor>, kMembers> members_;
-  FdMap<Scores> scores_;
+  sim::FlatMap<int, Scores> scores_;
 };
 
 }  // namespace ppfs::prefetch

@@ -25,7 +25,7 @@
 #include <span>
 
 #include "pfs/client.hpp"
-#include "prefetch/fd_map.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/types.hpp"
 
 namespace ppfs::prefetch {
@@ -96,7 +96,7 @@ class StridedPredictor final : public Predictor {
     bool has_prev = false;
     bool has_last_delta = false;
   };
-  FdMap<History> history_;
+  sim::FlatMap<int, History> history_;
 };
 
 /// Learns a repeating cycle of deltas — the access shape of list-I/O
@@ -123,7 +123,7 @@ class ListIoPredictor final : public Predictor {
     std::size_t period = 0;  // confirmed cycle length; 0 = not yet learned
     bool has_prev = false;
   };
-  FdMap<History> history_;
+  sim::FlatMap<int, History> history_;
 
   /// Re-search the ring for the smallest confirmed cycle (sets h.period).
   static void detect(History& h);

@@ -2,19 +2,20 @@
 
 #include <coroutine>
 #include <exception>
-#include <unordered_set>
 
+#include "sim/flat_map.hpp"
+#include "sim/resource.hpp"
 #include "sim/simulation.hpp"
 
 namespace ppfs::sim::check {
 
 namespace {
 
-// Process-wide registry of destroyed coroutine-frame addresses. Single
-// audit-relevant thread per process in this simulator; thread_local keeps
-// concurrent test runners independent.
-// ppfs-lint: allow(det-unsafe-source) membership tests only, never iterated
-thread_local std::unordered_set<void*> g_destroyed_frames;
+// The calling thread's registry of destroyed coroutine-frame addresses: a
+// key-only set (the value is empty). thread_local keeps parallel sweep
+// workers and concurrent test runners independent.
+struct Destroyed {};
+thread_local FlatMap<const void*, Destroyed> g_destroyed_frames;
 
 // splitmix64: turns an arbitrary seed into a well-mixed trigger point so
 // injection tests exercise different interleavings per seed.
@@ -52,10 +53,10 @@ void note_frame_created(void* frame) noexcept {
 }
 
 void note_frame_destroyed(void* frame) noexcept {
-  if (frame) g_destroyed_frames.insert(frame);
+  if (frame) g_destroyed_frames.get_or_insert(frame);
 }
 
-bool frame_destroyed(void* frame) noexcept { return g_destroyed_frames.count(frame) != 0; }
+bool frame_destroyed(void* frame) noexcept { return g_destroyed_frames.find(frame) != nullptr; }
 
 void Auditor::report(SimTime now, Violation kind, std::string detail, bool may_throw) {
   violations_.push_back(ViolationRecord{kind, now, std::move(detail)});
@@ -76,27 +77,32 @@ std::size_t Auditor::count(Violation kind) const noexcept {
 
 void Auditor::on_schedule(SimTime now, SimTime t, const void* frame) {
   tick_injection(now);
-  if (frame) {
-    if (++pending_[frame] > 1) {
-      report(now, Violation::kDoubleResume,
-             "coroutine frame scheduled while already pending in the event queue");
-    }
+  // Check first, count after: a fail-fast report throws out of schedule_at
+  // before the kernel queues the event, and an event that was never queued
+  // must not count as pending. (A report that throws may leave this
+  // frame's entry at 0, which reads as not queued.)
+  std::uint32_t* queued = frame != nullptr ? &pending_.get_or_insert(frame) : nullptr;
+  if (queued != nullptr && *queued > 0) {
+    report(now, Violation::kDoubleResume,
+           "coroutine frame scheduled while already pending in the event queue");
   }
   if (t < now) {
     report(now, Violation::kCausality,
            "event scheduled at t=" + std::to_string(t) + " < now=" + std::to_string(now));
   }
+  if (queued != nullptr) ++*queued;
 }
 
 bool Auditor::on_dispatch(SimTime now, const void* frame) {
   tick_injection(now);
   if (!frame) return true;
-  auto it = pending_.find(frame);
-  if (it != pending_.end() && --it->second == 0) pending_.erase(it);
-  if (frame_destroyed(const_cast<void*>(frame))) {
-    // Clear the stain so an unrelated future frame at this address (or the
-    // shared noop coroutine used by injection) is not condemned forever.
-    g_destroyed_frames.erase(const_cast<void*>(frame));
+  if (std::uint32_t* queued = pending_.find(frame); queued != nullptr && --*queued == 0) {
+    pending_.erase(frame);
+  }
+  // Erasing clears the stain, so an unrelated future frame at this address
+  // (or the shared noop coroutine used by injection) is not condemned
+  // forever.
+  if (g_destroyed_frames.erase(frame)) {
     report(now, Violation::kResumeAfterDestroy,
            "dispatching a coroutine frame that was destroyed while queued");
     return false;
@@ -106,36 +112,31 @@ bool Auditor::on_dispatch(SimTime now, const void* frame) {
 
 // --- Resource accounting ----------------------------------------------------
 
-void Auditor::on_resource_acquire(SimTime now, const void* res, std::size_t units) {
+void Auditor::on_resource_acquire(SimTime now, ResourceLedger& ledger, std::size_t units) {
   tick_injection(now);
-  resource_outstanding_[res] += static_cast<std::int64_t>(units);
+  ledger.outstanding_ += static_cast<std::int64_t>(units);
 }
 
-void Auditor::on_resource_release(SimTime now, const void* res, std::size_t units) {
-  auto& out = resource_outstanding_[res];
-  out -= static_cast<std::int64_t>(units);
-  if (out < 0) {
-    out = 0;
+void Auditor::on_resource_release(SimTime now, ResourceLedger& ledger, std::size_t units) {
+  ledger.outstanding_ -= static_cast<std::int64_t>(units);
+  if (ledger.outstanding_ < 0) {
+    ledger.outstanding_ = 0;
     report(now, Violation::kResourceAccounting,
            "release of " + std::to_string(units) + " unit(s) exceeds outstanding acquisitions");
   }
 }
 
-void Auditor::on_resource_destroyed(const void* res) noexcept {
-  auto it = resource_outstanding_.find(res);
-  if (it == resource_outstanding_.end()) return;
-  const std::int64_t leaked = it->second;
-  resource_outstanding_.erase(it);
-  if (leaked != 0) {
+void Auditor::on_resource_destroyed(const ResourceLedger& ledger) noexcept {
+  if (ledger.outstanding_ != 0) {
     report(sim_.now(), Violation::kResourceAccounting,
-           std::to_string(leaked) + " unit(s) still acquired when Resource was destroyed",
+           std::to_string(ledger.outstanding_) +
+               " unit(s) still acquired when Resource was destroyed",
            /*may_throw=*/false);
   }
 }
 
-std::int64_t Auditor::resource_outstanding(const void* res) const noexcept {
-  auto it = resource_outstanding_.find(res);
-  return it == resource_outstanding_.end() ? 0 : it->second;
+std::int64_t Auditor::resource_outstanding(const Resource* res) const noexcept {
+  return res->audit_ledger().outstanding();
 }
 
 // --- PrefetchBuffer conservation --------------------------------------------
@@ -387,7 +388,7 @@ void Auditor::fire_injection(SimTime now) {
       note_frame_destroyed(std::noop_coroutine().address());
       break;
     case Violation::kResourceAccounting:
-      on_resource_release(now, this, 1);  // release with nothing acquired
+      on_resource_release(now, injected_ledger_, 1);  // release with nothing acquired
       break;
     case Violation::kBufferConservation:
       on_buffer_allocated(this, 1);  // allocated, never disposed

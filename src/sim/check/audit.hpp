@@ -15,7 +15,8 @@
 //                     executing freed memory.
 //  * resource accounting — double-entry bookkeeping of Resource
 //                     acquire/release: releases that exceed acquisitions and
-//                     units still outstanding when a Resource dies.
+//                     units still outstanding when a Resource dies. Each
+//                     Resource carries its own ledger (ResourceLedger).
 //  * buffer conservation — every PrefetchBuffer allocated must end in
 //                     exactly one terminal state: consumed by a read,
 //                     discarded as stale/evicted, or freed at file close.
@@ -43,9 +44,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/flat_map.hpp"
 #include "sim/types.hpp"
 
 namespace ppfs::sim {
+class Resource;
 class Simulation;
 }
 
@@ -83,13 +86,31 @@ class AuditError : public std::logic_error {
 // --- coroutine-frame lifetime registry -------------------------------------
 //
 // Task<T> reports frame creation/destruction here (see sim/task.hpp). The
-// registry is process-wide (the simulator is single-threaded per Simulation,
-// and frames may outlive or predate any particular Simulation), so these are
-// free functions rather than Auditor members. A destroyed address is cleared
-// again when the allocator reuses it for a new frame.
+// registry belongs to the calling thread, not to a Simulation (a Simulation
+// runs on one thread, and frames may outlive or predate any particular
+// Simulation), so these are free functions rather than Auditor members. It
+// is keyed by address, so a handle scheduled after its frame died (say, one
+// left in an Event's waiter list) is still caught at dispatch, and a plain
+// address or std::noop_coroutine() works like an arena frame. A destroyed
+// address is cleared again when the allocator reuses it for a new frame.
 void note_frame_created(void* frame) noexcept;
 void note_frame_destroyed(void* frame) noexcept;
 bool frame_destroyed(void* frame) noexcept;
+
+// --- per-Resource double-entry ledger --------------------------------------
+//
+// Units a Resource has granted and not yet had back, as the auditor counts
+// them. It lives inside sim::Resource, beside but apart from the
+// semaphore's own in_use count, so the acquire/release hooks update a field
+// instead of hashing the resource's address. Only the Auditor writes it.
+class ResourceLedger {
+ public:
+  std::int64_t outstanding() const noexcept { return outstanding_; }
+
+ private:
+  friend class Auditor;
+  std::int64_t outstanding_ = 0;
+};
 
 class Auditor {
  public:
@@ -108,13 +129,13 @@ class Auditor {
   /// Returns false if the resume must be suppressed (frame was destroyed).
   [[nodiscard]] bool on_dispatch(SimTime now, const void* frame);
 
-  // --- Resource double-entry accounting ---
-  void on_resource_acquire(SimTime now, const void* res, std::size_t units);
-  void on_resource_release(SimTime now, const void* res, std::size_t units);
-  /// Destructor context: records only, never throws.
-  void on_resource_destroyed(const void* res) noexcept;
-  /// Units acquired but not yet released on `res` (0 if unknown).
-  std::int64_t resource_outstanding(const void* res) const noexcept;
+  // --- Resource double-entry accounting (on the Resource's own ledger) ---
+  void on_resource_acquire(SimTime now, ResourceLedger& ledger, std::size_t units);
+  void on_resource_release(SimTime now, ResourceLedger& ledger, std::size_t units);
+  /// Destructor context: records a nonzero ledger as a leak, never throws.
+  void on_resource_destroyed(const ResourceLedger& ledger) noexcept;
+  /// Units acquired but not yet released on `res`.
+  std::int64_t resource_outstanding(const Resource* res) const noexcept;
 
   // --- PrefetchBuffer conservation (per owning engine) ---
   void on_buffer_allocated(const void* owner, std::uint64_t n = 1);
@@ -231,10 +252,8 @@ class Auditor {
   Simulation& sim_;
   bool fail_fast_ = true;
 
-  // ppfs-lint: allow(det-unsafe-source) lookup/erase by key only, never iterated
-  std::unordered_map<const void*, std::uint64_t> pending_;  // frame -> times queued
-  // ppfs-lint: allow(det-unsafe-source) lookup/erase by key only, never iterated
-  std::unordered_map<const void*, std::int64_t> resource_outstanding_;
+  FlatMap<const void*, std::uint32_t> pending_;  // frame -> times queued (0: not queued)
+  ResourceLedger injected_ledger_;  // what the kResourceAccounting injection releases on
   // ppfs-lint: allow(det-unsafe-source) lookup/erase by key only, never iterated
   std::unordered_map<const void*, BufferLedger> buffers_;
   // ppfs-lint: allow(det-unsafe-source) lookup/erase by key only, never iterated

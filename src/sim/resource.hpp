@@ -59,13 +59,16 @@ class Resource {
     // SimCheck: units still acquired when the resource dies are a leak
     // (some process holds a guard into freed hardware). Records only —
     // destructors must not throw.
-    if (auto* a = sim_.auditor()) a->on_resource_destroyed(this);
+    if (auto* a = sim_.auditor()) a->on_resource_destroyed(ledger_);
   }
 
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t in_use() const noexcept { return in_use_; }
   std::size_t available() const noexcept { return capacity_ - in_use_; }
   std::size_t queue_length() const noexcept { return waiters_.size(); }
+  /// SimCheck's double-entry count for this resource (written only by the
+  /// auditor's hooks; stays 0 when SimCheck is compiled out).
+  const check::ResourceLedger& audit_ledger() const noexcept { return ledger_; }
 
   /// Awaitable acquiring `units` capacity (must be <= capacity()).
   /// Resolves to a ResourceGuard.
@@ -78,7 +81,7 @@ class Resource {
         if (res.waiters_.empty() && res.in_use_ + units <= res.capacity_) {
           res.in_use_ += units;
           if (auto* a = res.sim_.auditor()) {
-            a->on_resource_acquire(res.sim_.now(), &res, units);
+            a->on_resource_acquire(res.sim_.now(), res.ledger_, units);
           }
           return true;
         }
@@ -94,7 +97,7 @@ class Resource {
 
   /// Return units to the pool and grant queued waiters (FIFO).
   void release(std::size_t units) {
-    if (auto* a = sim_.auditor()) a->on_resource_release(sim_.now(), this, units);
+    if (auto* a = sim_.auditor()) a->on_resource_release(sim_.now(), ledger_, units);
     assert(units <= in_use_);
     in_use_ -= units > in_use_ ? in_use_ : units;
     grant_waiters();
@@ -120,7 +123,7 @@ class Resource {
       Waiter w = waiters_.front();
       waiters_.pop_front();
       in_use_ += w.units;
-      if (auto* a = sim_.auditor()) a->on_resource_acquire(sim_.now(), this, w.units);
+      if (auto* a = sim_.auditor()) a->on_resource_acquire(sim_.now(), ledger_, w.units);
       sim_.schedule_at(sim_.now(), w.h);
     }
   }
@@ -129,6 +132,7 @@ class Resource {
   std::size_t capacity_;
   std::size_t in_use_ = 0;
   double busy_time_ = 0.0;
+  check::ResourceLedger ledger_;
   std::deque<Waiter> waiters_;
 };
 

@@ -12,7 +12,7 @@ namespace ppfs::bad {
 // ppfs::hot — pretend per-read depth decision + window accounting
 inline unsigned decide_depth(int fd, bool hit) {
   // [hot-region-alloc] heap map built per read — per-fd window state must
-  // live in the open-addressed FdMap, never a node-based container.
+  // live in the open-addressed sim::FlatMap, never a node-based container.
   std::unordered_map<int, unsigned> windows;
   windows[fd] += hit ? 1u : 0u;
 

@@ -1,8 +1,8 @@
 // ppfs-lint: allow-file(ref-across-await) test idiom: coroutine referents are stack locals and the test blocks in sim.run()/run_task() before they die
 // AdaptaFetch: the adaptive readahead controller, the pattern-predictor
-// ensemble, the FdMap they keep per-fd state in, and the end-to-end
-// contracts — seed-determinism across sweep workers, default-off digest
-// identity, and fault-path collapse/resume.
+// ensemble, and the end-to-end contracts — seed-determinism across sweep
+// workers, default-off digest identity, and fault-path collapse/resume.
+// (The per-fd FlatMap they keep state in is tested in test_flat_map.cpp.)
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,7 +16,6 @@
 #include "prefetch/controller.hpp"
 #include "prefetch/engine.hpp"
 #include "prefetch/ensemble.hpp"
-#include "prefetch/fd_map.hpp"
 #include "prefetch/predictor.hpp"
 #include "sim/simulation.hpp"
 #include "test_util.hpp"
@@ -33,90 +32,6 @@ using sim::Task;
 using workload::Experiment;
 using workload::ExperimentResult;
 using workload::WorkloadSpec;
-
-// --- FdMap ------------------------------------------------------------------
-
-TEST(FdMap, EmptyMapFindsNothing) {
-  FdMap<int> m;
-  EXPECT_EQ(m.find(0), nullptr);
-  EXPECT_EQ(m.find(42), nullptr);
-  EXPECT_TRUE(m.empty());
-  m.erase(7);  // no-op, must not crash
-}
-
-TEST(FdMap, InsertFindEraseRoundTrip) {
-  FdMap<int> m;
-  m.get_or_insert(3) = 30;
-  m.get_or_insert(5) = 50;
-  ASSERT_NE(m.find(3), nullptr);
-  EXPECT_EQ(*m.find(3), 30);
-  ASSERT_NE(m.find(5), nullptr);
-  EXPECT_EQ(*m.find(5), 50);
-  EXPECT_EQ(m.find(4), nullptr);
-  EXPECT_EQ(m.size(), 2u);
-
-  m.erase(3);
-  EXPECT_EQ(m.find(3), nullptr);
-  EXPECT_EQ(m.size(), 1u);
-  // Reinsert after a tombstone lands on the same probe chain.
-  m.get_or_insert(3) = 31;
-  ASSERT_NE(m.find(3), nullptr);
-  EXPECT_EQ(*m.find(3), 31);
-}
-
-TEST(FdMap, SurvivesGrowthRehash) {
-  FdMap<std::uint64_t> m;
-  for (int fd = 0; fd < 500; ++fd) m.get_or_insert(fd) = static_cast<std::uint64_t>(fd) * 7;
-  EXPECT_EQ(m.size(), 500u);
-  for (int fd = 0; fd < 500; ++fd) {
-    ASSERT_NE(m.find(fd), nullptr) << fd;
-    EXPECT_EQ(*m.find(fd), static_cast<std::uint64_t>(fd) * 7);
-  }
-  for (int fd = 0; fd < 500; fd += 2) m.erase(fd);
-  EXPECT_EQ(m.size(), 250u);
-  for (int fd = 1; fd < 500; fd += 2) ASSERT_NE(m.find(fd), nullptr) << fd;
-  for (int fd = 0; fd < 500; fd += 2) EXPECT_EQ(m.find(fd), nullptr) << fd;
-}
-
-TEST(FdMap, TombstoneHeavyGrowthKeepsPow2Masking) {
-  // Regression: rehash() masks probes with size-1, so every growth step
-  // must land on a power of two. Drive many interleaved insert/erase
-  // cycles so growth happens while tombstones dominate the load factor —
-  // with a non-pow2 slot count the probe mask skips slots and these
-  // lookups would miss live keys (or get_or_insert would spin).
-  FdMap<int> m;
-  for (int round = 0; round < 8; ++round) {
-    const int base = round * 1000;
-    for (int fd = base; fd < base + 600; ++fd) m.get_or_insert(fd) = fd;
-    for (int fd = base; fd < base + 600; fd += 3) m.erase(fd);
-  }
-  std::size_t live = 0;
-  for (int round = 0; round < 8; ++round) {
-    const int base = round * 1000;
-    for (int fd = base; fd < base + 600; ++fd) {
-      if ((fd - base) % 3 == 0) {
-        ASSERT_EQ(m.find(fd), nullptr) << fd;
-      } else {
-        ASSERT_NE(m.find(fd), nullptr) << fd;
-        EXPECT_EQ(*m.find(fd), fd);
-        ++live;
-      }
-    }
-  }
-  EXPECT_EQ(m.size(), live);
-}
-
-TEST(FdMap, OpenCloseChurnDoesNotLeak) {
-  // The StridedPredictor leak this PR fixes: size must track live fds, not
-  // every fd ever seen.
-  FdMap<int> m;
-  for (int fd = 0; fd < 10000; ++fd) {
-    m.get_or_insert(fd) = fd;
-    m.erase(fd);
-  }
-  EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.size(), 0u);
-}
 
 // --- AdaptiveController (pure unit tests; no machine needed) ---------------
 

@@ -78,6 +78,27 @@ TEST(SimCheckDoubleResume, SameFrameQueuedTwiceThrows) {
   EXPECT_EQ(sim.auditor()->count(Violation::kDoubleResume), 1u);
 }
 
+TEST(SimCheckDoubleResume, AbortedScheduleIsNotCountedAsPending) {
+  Simulation sim;
+  sim.call_at(5.0, [] {});
+  sim.run();
+  // Causality throws out of schedule_at before the kernel queues the event,
+  // so the frame must not be left counted as pending...
+  EXPECT_THROW(sim.schedule_at(1.0, std::noop_coroutine()), AuditError);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // ...or this legitimate schedule would be reported as a double resume.
+  EXPECT_NO_THROW(sim.schedule_at(6.0, std::noop_coroutine()));
+  // A refused double resume is not counted either: after the one queued
+  // event dispatches, the frame is free to be scheduled again.
+  EXPECT_THROW(sim.schedule_at(6.0, std::noop_coroutine()), AuditError);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_NO_THROW(sim.schedule_at(7.0, std::noop_coroutine()));
+  sim.run();
+  EXPECT_EQ(sim.auditor()->count(Violation::kCausality), 1u);
+  EXPECT_EQ(sim.auditor()->count(Violation::kDoubleResume), 1u);
+}
+
 // --- resume after destroy ---------------------------------------------------
 
 TEST(SimCheckLifetime, ResumeAfterDestroyIsSuppressed) {
@@ -93,6 +114,28 @@ TEST(SimCheckLifetime, ResumeAfterDestroyIsSuppressed) {
     h.destroy();
   }
   sim.run();  // must not resume the dead frame
+  EXPECT_EQ(sim.auditor()->count(Violation::kResumeAfterDestroy), 1u);
+}
+
+TEST(SimCheckLifetime, DanglingWaiterHandleIsSuppressed) {
+  // The frame dies while parked in an Event's waiter list, not while
+  // queued: its handle reaches the event queue only later, through set().
+  // The registry is keyed by address, so dispatch still refuses it.
+  Simulation sim;
+  sim.auditor()->set_fail_fast(false);
+  Event ev(sim);
+  bool resumed = false;
+  {
+    Task<void> t = [](Event& e, bool& flag) -> Task<void> {
+      co_await e.wait();
+      flag = true;
+    }(ev, resumed);
+    t.await_suspend(std::noop_coroutine()).resume();  // runs up to the wait
+    ASSERT_EQ(ev.waiter_count(), 1u);
+  }  // ~Task destroys the parked frame; its handle stays in the waiter list
+  ev.set();
+  sim.run();
+  EXPECT_FALSE(resumed);
   EXPECT_EQ(sim.auditor()->count(Violation::kResumeAfterDestroy), 1u);
 }
 
