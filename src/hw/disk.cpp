@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "fault/error.hpp"
@@ -26,8 +25,8 @@ DiskParams DiskParams::paragon_era() {
   return DiskParams{};  // the defaults are the Paragon-era drive
 }
 
-Disk::Disk(sim::Simulation& s, std::string name, DiskParams params, sim::Tracer* tracer)
-    : sim_(s), name_(std::move(name)), params_(params), channel_(s, 1), tracer_(tracer) {}
+Disk::Disk(sim::Simulation& s, std::string name, DiskParams params)
+    : sim_(s), name_(std::move(name)), params_(params), channel_(s, 1) {}
 
 double Disk::rotational_wait(std::uint64_t lba, SimTime at) const {
   const double period = params_.rotation_period_s();
@@ -168,13 +167,6 @@ sim::Task<void> Disk::service(std::uint64_t lba, ByteCount bytes, bool write,
   if (slow != 1.0) {
     t *= slow;
     ++slowed_ops_;
-  }
-
-  if (tracer_ && tracer_->enabled(sim::TraceCat::kDisk)) {
-    std::ostringstream msg;
-    msg << (write ? "write" : "read") << " lba=" << lba << " bytes=" << bytes
-        << " service=" << t << (sequential ? " [seq]" : "");
-    tracer_->log(sim::TraceCat::kDisk, sim_.now(), name_, msg.str());
   }
 
   // The channel admits one request at a time, so per-disk service spans

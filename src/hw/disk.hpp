@@ -24,7 +24,6 @@
 #include "sim/simulation.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace ppfs::hw {
@@ -70,7 +69,7 @@ struct DiskParams {
 
 class Disk {
  public:
-  Disk(sim::Simulation& s, std::string name, DiskParams params, sim::Tracer* tracer = nullptr);
+  Disk(sim::Simulation& s, std::string name, DiskParams params);
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
 
@@ -127,7 +126,6 @@ class Disk {
   std::string name_;
   DiskParams params_;
   sim::Resource channel_;
-  sim::Tracer* tracer_;
 
   ElevatorQueue equeue_;
   std::map<std::uint64_t, PendingRequest> pending_;

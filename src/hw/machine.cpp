@@ -37,7 +37,7 @@ MachineConfig MachineConfig::paragon_scaled(int ncompute, int nio, RaidParams ra
 }
 
 Machine::Machine(sim::Simulation& s, MachineConfig cfg) : sim_(s), cfg_(std::move(cfg)) {
-  mesh_ = std::make_unique<MeshNetwork>(s, cfg_.mesh, &tracer_);
+  mesh_ = std::make_unique<MeshNetwork>(s, cfg_.mesh);
   // Per-node state lives in node-id-indexed arenas: one contiguous block
   // per entity kind instead of a heap allocation per node (see
   // sim/shard.hpp). Construction order is node id order, exactly as the
@@ -58,7 +58,7 @@ Machine::Machine(sim::Simulation& s, MachineConfig cfg) : sim_(s), cfg_(std::mov
   }
   raids_.reserve(cfg_.io_nodes.size());
   for (std::size_t i = 0; i < cfg_.io_nodes.size(); ++i) {
-    raids_.emplace_back(s, "raid" + std::to_string(i), cfg_.raid, &tracer_);
+    raids_.emplace_back(s, "raid" + std::to_string(i), cfg_.raid);
   }
   for (NodeId n : cfg_.compute_nodes) mesh_->route(n, n);  // validates ids
   for (NodeId n : cfg_.io_nodes) mesh_->route(n, n);

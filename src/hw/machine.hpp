@@ -15,7 +15,6 @@
 #include "hw/raid.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulation.hpp"
-#include "sim/trace.hpp"
 
 namespace ppfs::hw {
 
@@ -50,7 +49,6 @@ class Machine {
 
   sim::Simulation& simulation() noexcept { return sim_; }
   MeshNetwork& mesh() noexcept { return *mesh_; }
-  sim::Tracer& tracer() noexcept { return tracer_; }
   const MachineConfig& config() const noexcept { return cfg_; }
 
   int compute_node_count() const { return static_cast<int>(cfg_.compute_nodes.size()); }
@@ -81,7 +79,6 @@ class Machine {
  private:
   sim::Simulation& sim_;
   MachineConfig cfg_;
-  sim::Tracer tracer_;
   std::unique_ptr<MeshNetwork> mesh_;
   sim::ShardArena<NodeCpu> cpus_;      // one per mesh node, indexed by node id
   sim::ShardArena<RaidArray> raids_;   // one per I/O node, indexed by io index

@@ -1,7 +1,6 @@
 #include "hw/mesh.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "sim/inline_vec.hpp"
@@ -29,8 +28,7 @@ void trace_wire_edges(sim::Simulation& sim, std::span<const int> links, trace::T
 
 }  // namespace
 
-MeshNetwork::MeshNetwork(sim::Simulation& s, MeshConfig cfg, sim::Tracer* tracer)
-    : sim_(s), cfg_(cfg), tracer_(tracer) {
+MeshNetwork::MeshNetwork(sim::Simulation& s, MeshConfig cfg) : sim_(s), cfg_(cfg) {
   if (cfg_.width <= 0 || cfg_.height <= 0) {
     throw std::invalid_argument("MeshNetwork: non-positive dimensions");
   }
@@ -177,13 +175,6 @@ sim::Task<void> MeshNetwork::send(NodeId src, NodeId dst, ByteCount bytes) {
       ++degraded_messages_;
     }
 
-    if (tracer_ && tracer_->enabled(sim::TraceCat::kNet)) {
-      std::ostringstream msg;
-      msg << "msg " << src << "->" << dst << " bytes=" << bytes << " hops=" << path.size()
-          << " t=" << transfer;
-      tracer_->log(sim::TraceCat::kNet, sim_.now(), "mesh", msg.str());
-    }
-
     trace_wire_edges(sim_, ordered, trace::TraceKind::kSpanBegin, bytes, dst);
     co_await sim_.delay(transfer);
     trace_wire_edges(sim_, ordered, trace::TraceKind::kSpanEnd, bytes, dst);
@@ -202,13 +193,6 @@ sim::Task<void> MeshNetwork::send(NodeId src, NodeId dst, ByteCount bytes) {
   // routes interleave at MTU granularity.
   const std::uint64_t nseg = (bytes + cfg_.mtu - 1) / cfg_.mtu;
   ++segmented_messages_;
-
-  if (tracer_ && tracer_->enabled(sim::TraceCat::kNet)) {
-    std::ostringstream msg;
-    msg << "msg " << src << "->" << dst << " bytes=" << bytes << " hops=" << path.size()
-        << " segments=" << nseg << " mtu=" << cfg_.mtu;
-    tracer_->log(sim::TraceCat::kNet, sim_.now(), "mesh", msg.str());
-  }
 
   sim::InlineVec<sim::ResourceGuard, kInlinePathSlots> held;
   bool degraded_counted = false;

@@ -35,7 +35,6 @@
 #include "sim/shard.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace ppfs::hw {
@@ -65,7 +64,7 @@ struct MeshConfig {
 
 class MeshNetwork {
  public:
-  MeshNetwork(sim::Simulation& s, MeshConfig cfg, sim::Tracer* tracer = nullptr);
+  MeshNetwork(sim::Simulation& s, MeshConfig cfg);
   MeshNetwork(const MeshNetwork&) = delete;
   MeshNetwork& operator=(const MeshNetwork&) = delete;
 
@@ -154,7 +153,6 @@ class MeshNetwork {
 
   sim::Simulation& sim_;
   MeshConfig cfg_;
-  sim::Tracer* tracer_;
   // One capacity-1 Resource per directed link, indexed by link id. The
   // shard arena keeps all 4*node_count link states in one contiguous
   // block — Resources are address-pinned (auditor registration), which

@@ -1,6 +1,5 @@
 #include "hw/raid.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "fault/error.hpp"
@@ -17,16 +16,15 @@ RaidParams RaidParams::scsi16() {
   return p;
 }
 
-RaidArray::RaidArray(sim::Simulation& s, std::string name, RaidParams params,
-                     sim::Tracer* tracer)
-    : sim_(s), name_(std::move(name)), params_(params), tracer_(tracer), bus_(s, 1) {
+RaidArray::RaidArray(sim::Simulation& s, std::string name, RaidParams params)
+    : sim_(s), name_(std::move(name)), params_(params), bus_(s, 1) {
   if (params_.data_disks == 0) throw std::invalid_argument("RaidArray: need >= 1 data disk");
   const std::uint32_t total = params_.data_disks + (params_.dedicated_parity ? 1 : 0);
   members_.reserve(total);
   for (std::uint32_t i = 0; i < total; ++i) {
     const bool is_parity = params_.dedicated_parity && i == total - 1;
     members_.push_back(std::make_unique<Disk>(
-        s, name_ + (is_parity ? "/parity" : "/d" + std::to_string(i)), params_.disk, tracer_));
+        s, name_ + (is_parity ? "/parity" : "/d" + std::to_string(i)), params_.disk));
   }
   failed_.assign(members_.size(), false);
 }
@@ -78,13 +76,6 @@ sim::Task<void> RaidArray::transfer(std::uint64_t lba, ByteCount bytes, bool wri
                                 " members)");
   }
   const bool reconstruct = !write && dead_data == 1;
-
-  if (tracer_ && tracer_->enabled(sim::TraceCat::kDisk)) {
-    std::ostringstream msg;
-    msg << (write ? "write" : "read") << " lba=" << lba << " bytes=" << bytes
-        << " per_member=" << per_member << (reconstruct ? " [degraded]" : "");
-    tracer_->log(sim::TraceCat::kDisk, sim_.now(), name_, msg.str());
-  }
 
   std::vector<sim::Task<void>> parts;
   for (std::size_t i = 0; i < members_.size(); ++i) {

@@ -22,7 +22,6 @@
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace ppfs::hw {
@@ -45,8 +44,7 @@ struct RaidParams {
 
 class RaidArray {
  public:
-  RaidArray(sim::Simulation& s, std::string name, RaidParams params,
-            sim::Tracer* tracer = nullptr);
+  RaidArray(sim::Simulation& s, std::string name, RaidParams params);
   RaidArray(const RaidArray&) = delete;
   RaidArray& operator=(const RaidArray&) = delete;
 
@@ -92,7 +90,6 @@ class RaidArray {
   sim::Simulation& sim_;
   std::string name_;
   RaidParams params_;
-  sim::Tracer* tracer_;
   std::vector<std::unique_ptr<Disk>> members_;  // data disks + optional parity (last)
   sim::Resource bus_;
   std::vector<bool> failed_;

@@ -10,12 +10,17 @@
 #include "fault/retry.hpp"
 #include "sim/channel.hpp"
 #include "sim/check/audit.hpp"
+#include "sim/inline_vec.hpp"
 #include "sim/when_all.hpp"
 #include "trace/span.hpp"
 
 namespace ppfs::pfs {
 
 namespace {
+
+/// M_RECORD and M_ASYNC place a request from the local file pointer alone;
+/// every other mode claims its offset from the metadata node.
+bool resolves_locally(IoMode mode) { return mode == IoMode::kRecord || mode == IoMode::kAsync; }
 
 /// True when an extent's pieces tile one contiguous file range. Its bytes
 /// are then one run of the caller's buffer, which the server reads into or
@@ -75,14 +80,9 @@ PfsClient::PfsClient(PfsFileSystem& fs, int compute_index, int rank, int nprocs)
       rank_(rank),
       nprocs_(nprocs),
       arts_(machine_.simulation(), fs.params().max_arts_per_client,
-            // ppfs-lint: allow(ref-across-await) req is the ART slot's stored request; the slot owns this coroutine and outlives it
-            [this](const AsyncRequest& req) -> sim::Task<ByteCount> {
-              if (req.is_write) {
-                co_await write_at(req.fd, req.offset, req.in);
-                co_return req.length;
-              }
-              co_return co_await read_at(req.fd, req.offset, req.length, req.out,
-                                         req.fastpath);
+            [this](const AsyncRequest& req) {
+              if (req.is_write) return write_at(req.fd, req.offset, req.in);
+              return read_at(req.fd, req.offset, req.length, req.out, req.fastpath);
             }),
       rpc_rng_(0x5eedull ^ ((static_cast<std::uint64_t>(rank) + 1) * 0x9e3779b97f4a7c15ull)) {
   if (rank < 0 || nprocs <= 0 || rank >= nprocs) {
@@ -162,18 +162,9 @@ IoMode PfsClient::mode_of(int fd) const { return fstate(fd).mode; }
 ByteCount PfsClient::file_size(int fd) const { return fs_.file(fstate(fd).file).size; }
 
 FileOffset PfsClient::next_read_offset(int fd, ByteCount len) const {
-  const OpenFile& f = fstate(fd);
-  switch (f.mode) {
-    case IoMode::kRecord:
-      return f.pointer + static_cast<FileOffset>(rank_) * len;
-    case IoMode::kUnix:
-    case IoMode::kAsync:
-    case IoMode::kSync:    // best-effort: assumes equal-size requests
-    case IoMode::kGlobal:
-    case IoMode::kLog:     // best-effort: assumes this node claims next
-      return f.pointer;
-  }
-  throw std::logic_error("next_read_offset: unknown mode");
+  // Best-effort for M_SYNC (assumes equal-size requests) and M_LOG
+  // (assumes this node claims next).
+  return local_offset(fstate(fd), len);
 }
 
 bool PfsClient::next_offset_predictable(int fd) const {
@@ -205,248 +196,136 @@ sim::Task<void> PfsClient::seek(int fd, FileOffset off) {
   f.pointer = off;
 }
 
-sim::Task<void> PfsClient::fetch_extent(PfsFileMeta& meta, IoNodeRequest req, FileOffset base,
-                                        std::span<std::byte> out, bool fastpath) {
+sim::Task<void> PfsClient::data_rpc(PfsFileMeta& meta, std::span<const IoNodeRequest> extents,
+                                    bool batched, FileOffset base, UserBuffer buf,
+                                    bool fastpath) {
+  auto& sim = machine_.simulation();
   const auto ctrl = fs_.params().control_message_bytes;
-  const hw::NodeId io_node = machine_.io_node(req.io_index);
-  const sim::SimTime deadline =
-      machine_.simulation().now() + fs_.params().retry.total_budget_s;
+  const int io_index = extents.front().io_index;
+  const hw::NodeId io_node = machine_.io_node(io_index);
+  const sim::SimTime deadline = sim.now() + fs_.params().retry.total_budget_s;
+  ByteCount length = 0;
+  for (const IoNodeRequest& e : extents) length += e.length;
+
   ++rpc_stats_.data_rpcs;
+  if (batched) {
+    ++rpc_stats_.coalesced_rpcs;
+    rpc_stats_.coalesced_extents += extents.size();
+  }
   // The span covers the whole reliability envelope (all attempts). If the
   // retry budget runs out, rpc_recover throws and the guard's destructor
-  // closes the span with kFlagFault as the frame unwinds.
-  trace::SpanGuard rpc_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                            trace::code::kRpcData, rank_, /*async=*/true, req.length,
-                            static_cast<std::uint64_t>(req.io_index));
+  // closes the span with kFlagFault as the frame unwinds. Coalesced RPCs
+  // are tagged kRpcCoalesced, not kRpcData, so the two span classes
+  // partition data_rpcs the way the report's counters do.
+  trace::SpanGuard rpc_span(sim, trace::TraceTrack::kRpc,
+                            batched ? trace::code::kRpcCoalesced : trace::code::kRpcData, rank_,
+                            /*async=*/true, length, static_cast<std::uint64_t>(io_index),
+                            buf.is_write ? trace::kFlagWrite : std::uint8_t{0});
 
-  // "Fast Path reads data directly from the disks to the user's buffer":
-  // an extent that is one contiguous file range is read straight into the
-  // caller's span. Any other extent lands in a staging image and is
-  // scattered once the reply is in.
+  // "Fast Path reads data directly from the disks to the user's buffer": an
+  // uncoalesced extent that is one contiguous file range moves straight
+  // between the caller's span and the server. Every other RPC moves one
+  // staging image: a write gathers its pieces into it here, a read
+  // scatters it once the reply is in. Coalesced RPCs always stage, so the
+  // auditor can hold the bytes moved against the union of their extents.
+  sim::InlineVec<PfsServer::ExtentOp, 1> ops;
+  for (const IoNodeRequest& e : extents) {
+    PfsServer::ExtentOp& op = ops.emplace_back();
+    op.ino = meta.stripe_inos[e.group_slot];
+    op.local_off = e.local_offset;
+    op.len = e.length;
+  }
   std::unique_ptr<std::byte[]> staging;
-  std::span<std::byte> target;
-  if (file_contiguous(req.pieces)) {
-    target = out.subspan(req.pieces.front().file_offset - base, req.length);
+  if (!batched && file_contiguous(extents.front().pieces)) {
+    const FileOffset at = extents.front().pieces.front().file_offset - base;
+    if (buf.is_write) {
+      ops[0].in = buf.in.subspan(at, length);
+    } else {
+      ops[0].out = buf.out.subspan(at, length);
+    }
   } else {
-    staging = staging_image(req.length);
-    target = {staging.get(), req.length};
+    staging = staging_image(length);
+    std::byte* image = staging.get();
+    ByteCount gathered = 0;
+    for (std::size_t i = 0; i < extents.size(); ++i) {
+      if (buf.is_write) {
+        gathered += gather(extents[i].pieces, buf.in, base, image);
+        ops[i].in = {image, extents[i].length};
+      } else {
+        ops[i].out = {image, extents[i].length};
+      }
+      image += extents[i].length;
+    }
+    if (buf.is_write) {
+      rpc_stats_.staged_bytes += gathered;
+      if (auto* a = sim.auditor()) a->check_coalesce_conservation(sim.now(), length, gathered);
+    }
   }
 
   for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
-    PfsServer& srv = fs_.server(req.io_index);
+    PfsServer& srv = fs_.server(io_index);
     ByteCount got = 0;
     fault::ErrorCause cause{};
     bool failed = false;
     try {
       ++rpc_stats_.attempts;
       // A reply is only trustworthy if the server did not crash while the
-      // request was in flight; reads are idempotent, so a lost reply is
-      // simply reissued.
+      // request was in flight. Reads and writes of the same bytes are
+      // idempotent, so a lost reply or ack is simply reissued (a lost
+      // reply's bytes are overwritten by the reissue).
       const std::uint64_t epoch = srv.crash_epoch();
 
-      // Request message to the I/O node.
-      co_await machine_.mesh().send(mesh_node_, io_node, ctrl);
-
-      // Server reads the stripe file (on the fast path the real machine
-      // DMAs disk->network without a server copy, so no server CPU copy is
-      // charged beyond request handling). A lost reply's bytes are simply
-      // overwritten by the reissue.
-      got = co_await srv.read(meta.stripe_inos[req.group_slot], req.local_offset,
-                              req.length, target, fastpath);
-
-      if (srv.crash_epoch() != epoch) {
-        throw fault::FaultError(fault::ErrorCause::kNodeDown,
-                                "io" + std::to_string(req.io_index) +
-                                    " reply lost in crash");
+      // The request goes out: a control message for a read, the data for
+      // a write. On the fast path the real machine DMAs between disk and
+      // network without a server copy, so no server CPU copy is charged
+      // beyond request handling.
+      co_await machine_.mesh().send(mesh_node_, io_node, buf.is_write ? length : ctrl);
+      if (batched) {
+        co_await srv.serve_batch(std::span(ops.data(), ops.size()), buf.is_write, fastpath);
+      } else {
+        co_await srv.serve(ops[0], buf.is_write, fastpath);
       }
-
-      // Data travels back to the compute node.
-      co_await machine_.mesh().send(io_node, mesh_node_, got > 0 ? got : ctrl);
-    } catch (const fault::FaultError& e) {
-      cause = e.cause();
-      failed = true;
-    }
-    if (failed) {
-      ++failures;
-      co_await rpc_recover(req.io_index, cause, attempt, failures, deadline);
-      continue;
-    }
-    if (failures > 0) {
-      rpc_stats_.retried_ok += failures;
-      if (auto* a = machine_.simulation().auditor()) a->on_fault_retried_ok(failures);
-    }
-    rpc_span.end(got, static_cast<std::uint64_t>(req.io_index));
-
-    // Scatter a staged reply into its file-space slots in the user buffer
-    // (no extra CPU copy is charged: the model is the Fast Path's DMA).
-    // Bytes past `got` are a hole: the PFS file goes on, but no write
-    // reached this stripe file that far. Holes read as zeros.
-    if (staging) {
-      rpc_stats_.staged_bytes += scatter(req.pieces, staging.get(), got, out, base);
-    } else {
-      std::memset(target.data() + got, 0, req.length - got);
-    }
-    co_return;
-  }
-}
-
-sim::Task<void> PfsClient::fetch_coalesced(PfsFileMeta& meta, CoalescedRequest req,
-                                           FileOffset base, std::span<std::byte> out,
-                                           bool fastpath) {
-  const auto ctrl = fs_.params().control_message_bytes;
-  const hw::NodeId io_node = machine_.io_node(req.io_index);
-  const sim::SimTime deadline =
-      machine_.simulation().now() + fs_.params().retry.total_budget_s;
-  ++rpc_stats_.data_rpcs;
-  ++rpc_stats_.coalesced_rpcs;
-  rpc_stats_.coalesced_extents += req.extents.size();
-  // Tagged kRpcCoalesced (not kRpcData), so data spans + coalesced spans
-  // partition data_rpcs exactly the way the report's counters do.
-  trace::SpanGuard rpc_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                            trace::code::kRpcCoalesced, rank_, /*async=*/true, req.length,
-                            static_cast<std::uint64_t>(req.io_index));
-
-  // Scatter-gather keeps its staging image, so the auditor below can hold
-  // the bytes the server reported against the bytes scattered.
-  const auto staging = staging_image(req.length);
-  for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
-    PfsServer& srv = fs_.server(req.io_index);
-    std::vector<PfsServer::ExtentOp> ops;
-    ops.reserve(req.extents.size());
-    ByteCount stage_off = 0;
-    for (const CoalescedExtent& e : req.extents) {
-      PfsServer::ExtentOp op;
-      op.ino = meta.stripe_inos[e.group_slot];
-      op.local_off = e.local_offset;
-      op.len = e.length;
-      op.out = std::span<std::byte>(staging.get() + stage_off, e.length);
-      ops.push_back(op);
-      stage_off += e.length;
-    }
-    ByteCount got = 0;
-    fault::ErrorCause cause{};
-    bool failed = false;
-    try {
-      ++rpc_stats_.attempts;
-      const std::uint64_t epoch = srv.crash_epoch();
-
-      // One control message carries the whole extent list out; one data
-      // reply carries every extent's bytes back.
-      co_await machine_.mesh().send(mesh_node_, io_node, ctrl);
-      co_await srv.read_batch(ops, fastpath);
       for (const PfsServer::ExtentOp& op : ops) got += op.got;
       if (srv.crash_epoch() != epoch) {
         throw fault::FaultError(fault::ErrorCause::kNodeDown,
-                                "io" + std::to_string(req.io_index) +
-                                    " reply lost in crash");
+                                "io" + std::to_string(io_index) + " reply lost in crash");
       }
-      co_await machine_.mesh().send(io_node, mesh_node_, got > 0 ? got : ctrl);
+      // The reply comes back: a read's data, or a write's ack.
+      co_await machine_.mesh().send(io_node, mesh_node_,
+                                    !buf.is_write && got > 0 ? got : ctrl);
     } catch (const fault::FaultError& e) {
       cause = e.cause();
       failed = true;
     }
     if (failed) {
       ++failures;
-      co_await rpc_recover(req.io_index, cause, attempt, failures, deadline);
+      co_await rpc_recover(io_index, cause, attempt, failures, deadline);
       continue;
     }
     if (failures > 0) {
       rpc_stats_.retried_ok += failures;
-      if (auto* a = machine_.simulation().auditor()) a->on_fault_retried_ok(failures);
+      if (auto* a = sim.auditor()) a->on_fault_retried_ok(failures);
     }
-    rpc_span.end(got, req.extents.size());
+    rpc_span.end(got, batched ? extents.size() : static_cast<std::uint64_t>(io_index));
+    if (buf.is_write) co_return;
 
-    // Scatter each extent's bytes into their file-space slots. The auditor
-    // cross-checks that the bytes the servers reported moved are exactly
-    // the bytes that land in the user buffer — the merged ranges arrive
-    // once each, none lost, none duplicated (retries cannot double-count:
-    // only the surviving attempt scatters).
+    // Bytes past an extent's `got` are a hole: the PFS file goes on, but no
+    // write reached this stripe file that far. Holes read as zeros.
+    if (!staging) {
+      std::memset(ops[0].out.data() + got, 0, length - got);
+      co_return;
+    }
+    // Scatter each extent's bytes into their file-space slots of the user
+    // buffer (no extra CPU copy is charged: the model is the Fast Path's
+    // DMA). The auditor cross-checks that the bytes the server reported
+    // are exactly the bytes that land — each range arrives once, none
+    // lost, none duplicated (only the surviving attempt scatters).
     ByteCount delivered = 0;
-    for (std::size_t i = 0; i < req.extents.size(); ++i) {
-      delivered += scatter(req.extents[i].pieces, ops[i].out.data(), ops[i].got, out, base);
+    for (std::size_t i = 0; i < extents.size(); ++i) {
+      delivered += scatter(extents[i].pieces, ops[i].out.data(), ops[i].got, buf.out, base);
     }
     rpc_stats_.staged_bytes += delivered;
-    if (auto* a = machine_.simulation().auditor()) {
-      a->check_coalesce_conservation(machine_.simulation().now(), got, delivered);
-    }
-    co_return;
-  }
-}
-
-sim::Task<void> PfsClient::store_coalesced(PfsFileMeta& meta, CoalescedRequest req,
-                                           FileOffset base, std::span<const std::byte> in,
-                                           bool fastpath) {
-  const auto ctrl = fs_.params().control_message_bytes;
-  const hw::NodeId io_node = machine_.io_node(req.io_index);
-  const sim::SimTime deadline =
-      machine_.simulation().now() + fs_.params().retry.total_budget_s;
-  ++rpc_stats_.data_rpcs;
-  ++rpc_stats_.coalesced_rpcs;
-  rpc_stats_.coalesced_extents += req.extents.size();
-  trace::SpanGuard rpc_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                            trace::code::kRpcCoalesced, rank_, /*async=*/true, req.length,
-                            static_cast<std::uint64_t>(req.io_index), trace::kFlagWrite);
-
-  // Gather every extent's file-space pieces into one contiguous wire image;
-  // the auditor confirms the image holds exactly the union of the merged
-  // ranges before it ever hits the wire.
-  const auto staging = staging_image(req.length);
-  ByteCount gathered = 0;
-  {
-    ByteCount stage_off = 0;
-    for (const CoalescedExtent& e : req.extents) {
-      gathered += gather(e.pieces, in, base, staging.get() + stage_off);
-      stage_off += e.length;
-    }
-  }
-  rpc_stats_.staged_bytes += gathered;
-  if (auto* a = machine_.simulation().auditor()) {
-    a->check_coalesce_conservation(machine_.simulation().now(), req.length, gathered);
-  }
-
-  for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
-    PfsServer& srv = fs_.server(req.io_index);
-    std::vector<PfsServer::ExtentOp> ops;
-    ops.reserve(req.extents.size());
-    ByteCount stage_off = 0;
-    for (const CoalescedExtent& e : req.extents) {
-      PfsServer::ExtentOp op;
-      op.ino = meta.stripe_inos[e.group_slot];
-      op.local_off = e.local_offset;
-      op.len = e.length;
-      op.in = std::span<const std::byte>(staging.get() + stage_off, e.length);
-      ops.push_back(op);
-      stage_off += e.length;
-    }
-    fault::ErrorCause cause{};
-    bool failed = false;
-    try {
-      ++rpc_stats_.attempts;
-      const std::uint64_t epoch = srv.crash_epoch();
-
-      // One data message carries every extent; one ack comes back.
-      co_await machine_.mesh().send(mesh_node_, io_node, req.length);
-      co_await srv.write_batch(ops, fastpath);
-      if (srv.crash_epoch() != epoch) {
-        throw fault::FaultError(fault::ErrorCause::kNodeDown,
-                                "io" + std::to_string(req.io_index) +
-                                    " ack lost in crash");
-      }
-      co_await machine_.mesh().send(io_node, mesh_node_, ctrl);
-    } catch (const fault::FaultError& e) {
-      cause = e.cause();
-      failed = true;
-    }
-    if (failed) {
-      ++failures;
-      co_await rpc_recover(req.io_index, cause, attempt, failures, deadline);
-      continue;
-    }
-    if (failures > 0) {
-      rpc_stats_.retried_ok += failures;
-      if (auto* a = machine_.simulation().auditor()) a->on_fault_retried_ok(failures);
-    }
-    rpc_span.end(req.length, req.extents.size());
+    if (auto* a = sim.auditor()) a->check_coalesce_conservation(sim.now(), got, delivered);
     co_return;
   }
 }
@@ -500,40 +379,113 @@ sim::Task<void> PfsClient::rpc_recover(int io_index, fault::ErrorCause cause,
   co_await sim.delay(backoff);
 }
 
-sim::Task<ByteCount> PfsClient::read_at(int fd, FileOffset off, ByteCount len,
-                                        std::span<std::byte> out, bool fastpath) {
-  OpenFile& f = fstate(fd);
-  PfsFileMeta& meta = fs_.file(f.file);
-  co_await cpu().compute(cpu().params().syscall_overhead);
-  if (off >= meta.size || len == 0) co_return 0;
-  len = std::min<ByteCount>(len, meta.size - off);
-  assert(out.size() >= len);
+sim::Task<ByteCount> PfsClient::transfer(PfsFileMeta& meta, FileOffset off, ByteCount len,
+                                         UserBuffer buf, bool fastpath, bool charge_syscall) {
+  if (charge_syscall) co_await cpu().compute(cpu().params().syscall_overhead);
+  if (!buf.is_write) {
+    // A read stops at EOF as the file stands once the call is in.
+    if (off >= meta.size) co_return 0;
+    len = std::min<ByteCount>(len, meta.size - off);
+    assert(buf.out.size() >= len);
+  }
+  if (len == 0) co_return 0;
 
+  std::vector<IoNodeRequest> extents;
+  std::vector<CoalescedRequest> merged;
+  std::vector<sim::Task<void>> parts;
   if (fs_.params().coalesce_rpcs) {
     // Extents bound for the same I/O node merge into one scatter-gather
     // RPC; the cached stripe map replaces per-operation metadata trips.
     co_await ensure_stripe_map(meta);
-    auto coalesced = coalesce_by_io(meta.layout.map(off, len));
-    std::vector<sim::Task<void>> parts;
-    parts.reserve(coalesced.size());
-    for (auto& req : coalesced) {
-      parts.push_back(fetch_coalesced(meta, std::move(req), off, out, fastpath));
+    merged = coalesce_by_io(meta.layout.map(off, len));
+    parts.reserve(merged.size());
+    for (const CoalescedRequest& req : merged) {
+      parts.push_back(data_rpc(meta, req.extents, /*batched=*/true, off, buf, fastpath));
     }
-    co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
-    co_return len;
+  } else {
+    extents = meta.layout.map(off, len);
+    parts.reserve(extents.size());
+    for (const IoNodeRequest& req : extents) {
+      parts.push_back(data_rpc(meta, std::span(&req, 1), /*batched=*/false, off, buf, fastpath));
+    }
   }
-
-  auto requests = meta.layout.map(off, len);
-  std::vector<sim::Task<void>> parts;
-  parts.reserve(requests.size());
-  for (auto& req : requests) {
-    parts.push_back(fetch_extent(meta, std::move(req), off, out, fastpath));
-  }
-  // Propagating variant: a terminal fault in one extent surfaces here as a
-  // typed error after the sibling transfers settle, instead of killing the
-  // whole simulation.
+  // Propagating join: a terminal fault in one RPC surfaces here as a typed
+  // error after the sibling transfers settle, instead of killing the whole
+  // simulation.
   co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
+  if (buf.is_write) meta.size = std::max<ByteCount>(meta.size, off + len);
   co_return len;
+}
+
+sim::Task<ByteCount> PfsClient::read_at(int fd, FileOffset off, ByteCount len,
+                                        std::span<std::byte> out, bool fastpath) {
+  return transfer(fs_.file(fstate(fd).file), off, len, UserBuffer::reading(out), fastpath,
+                  /*charge_syscall=*/true);
+}
+
+sim::Task<ByteCount> PfsClient::write_at(int fd, FileOffset off, std::span<const std::byte> in) {
+  return transfer(fs_.file(fstate(fd).file), off, in.size(), UserBuffer::writing(in),
+                  /*fastpath=*/true, /*charge_syscall=*/true);
+}
+
+FileOffset PfsClient::local_offset(const OpenFile& f, ByteCount len) const {
+  if (f.mode == IoMode::kRecord) return f.pointer + static_cast<FileOffset>(rank_) * len;
+  return f.pointer;
+}
+
+void PfsClient::advance_pointer(OpenFile& f, FileOffset off, ByteCount len,
+                                ByteCount moved) const {
+  switch (f.mode) {
+    case IoMode::kRecord:
+      f.pointer += static_cast<FileOffset>(nprocs_) * len;
+      break;
+    case IoMode::kGlobal:
+      f.pointer = off + len;
+      break;
+    default:
+      // For M_LOG and M_SYNC this is informational: the shared pointer is
+      // authoritative.
+      f.pointer = off + moved;
+      break;
+  }
+}
+
+sim::Task<PfsClient::Claim> PfsClient::claim_offset(OpenFile& f, ByteCount len,
+                                                    bool is_write) {
+  const auto ctrl = fs_.params().control_message_bytes;
+  ++rpc_stats_.pointer_rpcs;
+  trace::SpanGuard span(machine_.simulation(), trace::TraceTrack::kRpc,
+                        trace::code::kRpcPointer, rank_, /*async=*/true, len, 0,
+                        is_write ? trace::kFlagWrite : std::uint8_t{0});
+  co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(), ctrl);
+  Claim claim;
+  switch (f.mode) {
+    case IoMode::kUnix:
+      // Atomicity: take the per-file token for the whole transfer.
+      claim.lock = co_await fs_.pointers().acquire_file_lock(f.file);
+      break;
+    case IoMode::kLog:
+      // M_LOG is an atomic mode: the claim AND the transfer are serialized
+      // first-come-first-served, like a log append.
+      claim.lock = co_await fs_.pointers().acquire_file_lock(f.file);
+      claim.off = co_await fs_.pointers().fetch_and_add(f.file, len);
+      break;
+    default:
+      // M_SYNC and M_GLOBAL gang every rank on one collective call.
+      claim.off = co_await fs_.collectives().arrive(f.file, rank_, nprocs_, len,
+                                                    f.mode == IoMode::kGlobal);
+      break;
+  }
+  co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_, ctrl);
+  if (f.mode == IoMode::kUnix) claim.off = f.pointer;  // its own pointer, under the lock
+  span.end(len);
+  co_return claim;
+}
+
+sim::Task<void> PfsClient::unlock_file(sim::ResourceGuard& lock) {
+  lock.release();
+  return machine_.mesh().send(mesh_node_, fs_.metadata_node(),
+                              fs_.params().control_message_bytes);
 }
 
 sim::Task<ByteCount> PfsClient::read(int fd, std::span<std::byte> out) {
@@ -542,59 +494,13 @@ sim::Task<ByteCount> PfsClient::read(int fd, std::span<std::byte> out) {
   const sim::SimTime start = machine_.simulation().now();
 
   // --- offset resolution / coordination, per I/O mode ---
-  FileOffset off = 0;
-  sim::ResourceGuard unix_lock;
-  switch (f.mode) {
-    case IoMode::kUnix: {
-      // Atomicity: take the per-file token for the whole transfer.
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      unix_lock = co_await fs_.pointers().acquire_file_lock(f.file);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      off = f.pointer;
-      ptr_span.end(len);
-      break;
-    }
-    case IoMode::kAsync:
-      off = f.pointer;
-      break;
-    case IoMode::kRecord:
-      off = f.pointer + static_cast<FileOffset>(rank_) * len;
-      break;
-    case IoMode::kLog: {
-      // M_LOG is an atomic mode: the claim AND the transfer are serialized
-      // first-come-first-served, like a log append.
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      unix_lock = co_await fs_.pointers().acquire_file_lock(f.file);
-      off = co_await fs_.pointers().fetch_and_add(f.file, len);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      ptr_span.end(len);
-      break;
-    }
-    case IoMode::kSync:
-    case IoMode::kGlobal: {
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      off = co_await fs_.collectives().arrive(f.file, rank_, nprocs_, len,
-                                              f.mode == IoMode::kGlobal);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      ptr_span.end(len);
-      break;
-    }
+  Claim claim;
+  if (resolves_locally(f.mode)) {
+    claim.off = local_offset(f, len);
+  } else {
+    claim = co_await claim_offset(f, len, /*is_write=*/false);
   }
+  const FileOffset off = claim.off;
 
   // --- coherence: a token-mode read first secures a read token, which
   // forces any conflicting writer to flush-before-ack ---
@@ -632,28 +538,8 @@ sim::Task<ByteCount> PfsClient::read(int fd, std::span<std::byte> out) {
     }
   }
 
-  // --- pointer advance ---
-  switch (f.mode) {
-    case IoMode::kRecord:
-      f.pointer += static_cast<FileOffset>(nprocs_) * len;
-      break;
-    case IoMode::kUnix:
-    case IoMode::kAsync:
-      f.pointer = off + got;
-      break;
-    case IoMode::kLog:
-    case IoMode::kSync:
-      f.pointer = off + got;  // informational; the shared pointer is authoritative
-      break;
-    case IoMode::kGlobal:
-      f.pointer = off + len;
-      break;
-  }
-  if (unix_lock.owns()) {
-    unix_lock.release();
-    co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                  fs_.params().control_message_bytes);
-  }
+  advance_pointer(f, off, len, got);
+  if (claim.lock.owns()) co_await unlock_file(claim.lock);
   if (prefetcher_) co_await prefetcher_->after_read(fd, off, len);
 
   ++stats_.reads;
@@ -662,159 +548,18 @@ sim::Task<ByteCount> PfsClient::read(int fd, std::span<std::byte> out) {
   co_return got;
 }
 
-sim::Task<void> PfsClient::store_extent(PfsFileMeta& meta, IoNodeRequest req, FileOffset base,
-                                        std::span<const std::byte> in, bool fastpath) {
-  const auto ctrl = fs_.params().control_message_bytes;
-  const hw::NodeId io_node = machine_.io_node(req.io_index);
-  const sim::SimTime deadline =
-      machine_.simulation().now() + fs_.params().retry.total_budget_s;
-  ++rpc_stats_.data_rpcs;
-  trace::SpanGuard rpc_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                            trace::code::kRpcData, rank_, /*async=*/true, req.length,
-                            static_cast<std::uint64_t>(req.io_index), trace::kFlagWrite);
-
-  // An extent that is one contiguous file range is written straight from
-  // the caller's span; any other extent is gathered into the contiguous
-  // stripe-file image first.
-  std::unique_ptr<std::byte[]> staging;
-  std::span<const std::byte> source;
-  if (file_contiguous(req.pieces)) {
-    source = in.subspan(req.pieces.front().file_offset - base, req.length);
-  } else {
-    staging = staging_image(req.length);
-    rpc_stats_.staged_bytes += gather(req.pieces, in, base, staging.get());
-    source = {staging.get(), req.length};
-  }
-
-  for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
-    PfsServer& srv = fs_.server(req.io_index);
-    fault::ErrorCause cause{};
-    bool failed = false;
-    try {
-      ++rpc_stats_.attempts;
-      // Writes of the same bytes are idempotent, so an ack lost in a crash
-      // is handled by simply rewriting.
-      const std::uint64_t epoch = srv.crash_epoch();
-
-      // Data to the I/O node, then the server write, then the ack.
-      co_await machine_.mesh().send(mesh_node_, io_node, req.length);
-      co_await srv.write(meta.stripe_inos[req.group_slot], req.local_offset, source,
-                         fastpath);
-      if (srv.crash_epoch() != epoch) {
-        throw fault::FaultError(fault::ErrorCause::kNodeDown,
-                                "io" + std::to_string(req.io_index) +
-                                    " ack lost in crash");
-      }
-      co_await machine_.mesh().send(io_node, mesh_node_, ctrl);
-    } catch (const fault::FaultError& e) {
-      cause = e.cause();
-      failed = true;
-    }
-    if (failed) {
-      ++failures;
-      co_await rpc_recover(req.io_index, cause, attempt, failures, deadline);
-      continue;
-    }
-    if (failures > 0) {
-      rpc_stats_.retried_ok += failures;
-      if (auto* a = machine_.simulation().auditor()) a->on_fault_retried_ok(failures);
-    }
-    rpc_span.end(req.length, static_cast<std::uint64_t>(req.io_index));
-    co_return;
-  }
-}
-
-sim::Task<void> PfsClient::write_at(int fd, FileOffset off, std::span<const std::byte> in) {
-  OpenFile& f = fstate(fd);
-  PfsFileMeta& meta = fs_.file(f.file);
-  co_await cpu().compute(cpu().params().syscall_overhead);
-  co_await store_range(meta, off, in);
-}
-
-sim::Task<void> PfsClient::store_range(PfsFileMeta& meta, FileOffset off,
-                                       std::span<const std::byte> in) {
-  if (in.empty()) co_return;
-
-  if (fs_.params().coalesce_rpcs) {
-    co_await ensure_stripe_map(meta);
-    auto coalesced = coalesce_by_io(meta.layout.map(off, in.size()));
-    std::vector<sim::Task<void>> parts;
-    parts.reserve(coalesced.size());
-    for (auto& req : coalesced) {
-      parts.push_back(store_coalesced(meta, std::move(req), off, in, /*fastpath=*/true));
-    }
-    co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
-    meta.size = std::max<ByteCount>(meta.size, off + in.size());
-    co_return;
-  }
-
-  auto requests = meta.layout.map(off, in.size());
-  std::vector<sim::Task<void>> parts;
-  parts.reserve(requests.size());
-  for (auto& req : requests) {
-    parts.push_back(store_extent(meta, std::move(req), off, in, /*fastpath=*/true));
-  }
-  co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
-  meta.size = std::max<ByteCount>(meta.size, off + in.size());
-}
-
 sim::Task<ByteCount> PfsClient::write(int fd, std::span<const std::byte> in) {
   OpenFile& f = fstate(fd);
   const ByteCount len = in.size();
   const sim::SimTime start = machine_.simulation().now();
 
-  FileOffset off = 0;
-  sim::ResourceGuard unix_lock;
-  switch (f.mode) {
-    case IoMode::kUnix: {
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len,
-                                0, trace::kFlagWrite);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      unix_lock = co_await fs_.pointers().acquire_file_lock(f.file);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      off = f.pointer;
-      ptr_span.end(len);
-      break;
-    }
-    case IoMode::kAsync:
-      off = f.pointer;
-      break;
-    case IoMode::kRecord:
-      off = f.pointer + static_cast<FileOffset>(rank_) * len;
-      break;
-    case IoMode::kLog: {
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len,
-                                0, trace::kFlagWrite);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      unix_lock = co_await fs_.pointers().acquire_file_lock(f.file);
-      off = co_await fs_.pointers().fetch_and_add(f.file, len);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      ptr_span.end(len);
-      break;
-    }
-    case IoMode::kSync:
-    case IoMode::kGlobal: {
-      ++rpc_stats_.pointer_rpcs;
-      trace::SpanGuard ptr_span(machine_.simulation(), trace::TraceTrack::kRpc,
-                                trace::code::kRpcPointer, rank_, /*async=*/true, len);
-      co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                    fs_.params().control_message_bytes);
-      off = co_await fs_.collectives().arrive(f.file, rank_, nprocs_, len,
-                                              f.mode == IoMode::kGlobal);
-      co_await machine_.mesh().send(fs_.metadata_node(), mesh_node_,
-                                    fs_.params().control_message_bytes);
-      ptr_span.end(len);
-      break;
-    }
+  Claim claim;
+  if (resolves_locally(f.mode)) {
+    claim.off = local_offset(f, len);
+  } else {
+    claim = co_await claim_offset(f, len, /*is_write=*/true);
   }
+  const FileOffset off = claim.off;
 
   if (fs_.params().write_tokens) {
     // TokenWrite path: secure an exclusive byte-range token (revoking any
@@ -834,19 +579,8 @@ sim::Task<ByteCount> PfsClient::write(int fd, std::span<const std::byte> in) {
     co_await write_at(fd, off, in);
   }
 
-  switch (f.mode) {
-    case IoMode::kRecord:
-      f.pointer += static_cast<FileOffset>(nprocs_) * len;
-      break;
-    default:
-      f.pointer = off + len;
-      break;
-  }
-  if (unix_lock.owns()) {
-    unix_lock.release();
-    co_await machine_.mesh().send(mesh_node_, fs_.metadata_node(),
-                                  fs_.params().control_message_bytes);
-  }
+  advance_pointer(f, off, len, len);
+  if (claim.lock.owns()) co_await unlock_file(claim.lock);
 
   ++stats_.writes;
   stats_.bytes_written += len;
@@ -855,59 +589,36 @@ sim::Task<ByteCount> PfsClient::write(int fd, std::span<const std::byte> in) {
 }
 
 sim::Task<AsyncHandle> PfsClient::iread(int fd, std::span<std::byte> out) {
+  return post_async(fd, UserBuffer::reading(out));
+}
+
+sim::Task<AsyncHandle> PfsClient::iwrite(int fd, std::span<const std::byte> in) {
+  return post_async(fd, UserBuffer::writing(in));
+}
+
+sim::Task<AsyncHandle> PfsClient::post_async(int fd, UserBuffer buf) {
   OpenFile& f = fstate(fd);
-  const ByteCount len = out.size();
-  if (traits(f.mode).shared_pointer || f.mode == IoMode::kUnix) {
+  if (!resolves_locally(f.mode)) {
     // The prototype's async path targets the locally-resolvable modes;
     // coordinated modes would need the pointer RPC inside the ART.
-    if (f.mode != IoMode::kRecord && f.mode != IoMode::kAsync) {
-      throw std::logic_error("iread: unsupported I/O mode " +
-                             std::string(to_string(f.mode)));
-    }
+    throw std::logic_error(std::string(buf.is_write ? "iwrite" : "iread") +
+                           ": unsupported I/O mode " + std::string(to_string(f.mode)));
   }
 
   // "During the setup phase, the incoming request ... is allocated an
   // internal structure": charge the ART setup cost on the user thread.
   co_await cpu().compute(cpu().params().async_setup_overhead);
 
+  const ByteCount len = buf.is_write ? buf.in.size() : buf.out.size();
   auto req = std::make_shared<AsyncRequest>(machine_.simulation());
   req->fd = fd;
+  req->offset = local_offset(f, len);
   req->length = len;
-  req->out = out;
+  req->out = buf.out;
+  req->in = buf.in;
+  req->is_write = buf.is_write;
   req->fastpath = f.fastpath;
-  if (f.mode == IoMode::kRecord) {
-    req->offset = f.pointer + static_cast<FileOffset>(rank_) * len;
-    f.pointer += static_cast<FileOffset>(nprocs_) * len;
-  } else {
-    req->offset = f.pointer;
-    f.pointer += len;
-  }
-  arts_.post(req);
-  co_return req;
-}
-
-sim::Task<AsyncHandle> PfsClient::iwrite(int fd, std::span<const std::byte> in) {
-  OpenFile& f = fstate(fd);
-  const ByteCount len = in.size();
-  if (f.mode != IoMode::kRecord && f.mode != IoMode::kAsync) {
-    throw std::logic_error("iwrite: unsupported I/O mode " +
-                           std::string(to_string(f.mode)));
-  }
-  co_await cpu().compute(cpu().params().async_setup_overhead);
-
-  auto req = std::make_shared<AsyncRequest>(machine_.simulation());
-  req->fd = fd;
-  req->length = len;
-  req->in = in;
-  req->is_write = true;
-  req->fastpath = f.fastpath;
-  if (f.mode == IoMode::kRecord) {
-    req->offset = f.pointer + static_cast<FileOffset>(rank_) * len;
-    f.pointer += static_cast<FileOffset>(nprocs_) * len;
-  } else {
-    req->offset = f.pointer;
-    f.pointer += len;
-  }
+  advance_pointer(f, req->offset, len, len);
   arts_.post(req);
   co_return req;
 }
@@ -1177,7 +888,8 @@ sim::Task<void> PfsClient::flush_range(FileId file, FileOffset begin, FileOffset
     ++token_stats_.flush_ops;
     ++cause_counter;
     token_stats_.flushed_bytes += ce - cb;
-    co_await store_range(meta, cb, data);
+    co_await transfer(meta, cb, data.size(), UserBuffer::writing(data),
+                      /*fastpath=*/true, /*charge_syscall=*/false);
   }
 }
 

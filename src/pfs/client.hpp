@@ -35,6 +35,7 @@
 #include "pfs/io_mode.hpp"
 #include "pfs/token.hpp"
 #include "sim/random.hpp"
+#include "sim/resource.hpp"
 #include "sim/task.hpp"
 #include "sim/types.hpp"
 
@@ -73,14 +74,14 @@ struct ClientStats {
   sim::SimTime write_time = 0;
 };
 
-/// Counters of the RPC reliability envelope wrapped around every
-/// fetch/store extent RPC (see fetch_extent): attempts, recovery behavior,
-/// and per-cause failure classification.
+/// Counters of the reliability envelope wrapped around every data RPC
+/// (see PfsClient::data_rpc): attempts, recovery behavior, and per-cause
+/// failure classification.
 struct RpcStats {
   std::uint64_t attempts = 0;         // RPC attempts issued (incl. reissues)
   // Per-class RPC counters: without them the metadata node's control
   // traffic is invisible in the stats even though it is the hot spot.
-  std::uint64_t data_rpcs = 0;      // fetch/store extent RPCs (one per request)
+  std::uint64_t data_rpcs = 0;      // read/write RPCs: one per extent (per node if coalesced)
   std::uint64_t metadata_rpcs = 0;  // metadata-node round trips (open, seek, map)
   std::uint64_t pointer_rpcs = 0;   // pointer/lock/collective claims inside read/write
   std::uint64_t token_rpcs = 0;     // byte-range token acquisitions (TokenWrite)
@@ -220,22 +221,57 @@ class PfsClient : public TokenRevokeHandler {
   /// One control-message round trip to the metadata node.
   sim::Task<void> metadata_rpc();
 
-  /// Move one stripe extent: request message out, server read, data back,
-  /// scatter into the user buffer. Wrapped in the RPC reliability envelope:
-  /// bounded retries with backoff, recovery waits on a down node, and a
-  /// per-request deadline; exhausting the budget throws FaultError.
-  sim::Task<void> fetch_extent(PfsFileMeta& meta, IoNodeRequest req, FileOffset base,
-                               std::span<std::byte> out, bool fastpath);
-  sim::Task<void> store_extent(PfsFileMeta& meta, IoNodeRequest req, FileOffset base,
-                               std::span<const std::byte> in, bool fastpath);
+  /// The caller's buffer for one transfer: a read fills `out`, a write
+  /// sends `in`.
+  struct UserBuffer {
+    std::span<std::byte> out;
+    std::span<const std::byte> in;
+    bool is_write = false;
 
-  /// Scatter-gather variants (PfsParams::coalesce_rpcs): every extent bound
-  /// for one I/O node rides one RPC — one control round-trip, one server
-  /// request-handling charge, one data reply. Same reliability envelope.
-  sim::Task<void> fetch_coalesced(PfsFileMeta& meta, CoalescedRequest req, FileOffset base,
-                                  std::span<std::byte> out, bool fastpath);
-  sim::Task<void> store_coalesced(PfsFileMeta& meta, CoalescedRequest req, FileOffset base,
-                                  std::span<const std::byte> in, bool fastpath);
+    static UserBuffer reading(std::span<std::byte> out) { return {out, {}, false}; }
+    static UserBuffer writing(std::span<const std::byte> in) { return {{}, in, true}; }
+  };
+
+  /// Where a read() or write() lands in the file, and the per-file lock
+  /// M_UNIX and M_LOG hold across the transfer.
+  struct Claim {
+    FileOffset off = 0;
+    sim::ResourceGuard lock;
+  };
+
+  /// Offset of a request of `len` bytes from the local pointer alone
+  /// (M_RECORD: this rank's record of the round).
+  FileOffset local_offset(const OpenFile& f, ByteCount len) const;
+  /// Move the fd's pointer past a request at `off` that asked for `len`
+  /// bytes and moved `moved`.
+  void advance_pointer(OpenFile& f, FileOffset off, ByteCount len, ByteCount moved) const;
+  /// The coordinated modes' claim: one pointer RPC to the metadata node.
+  /// M_UNIX takes the per-file lock, M_LOG takes it and fetch-and-adds the
+  /// shared pointer, M_SYNC and M_GLOBAL gang every rank on the collective.
+  sim::Task<Claim> claim_offset(OpenFile& f, ByteCount len, bool is_write);
+  /// Drop a claim's file lock and tell the metadata node.
+  sim::Task<void> unlock_file(sim::ResourceGuard& lock);
+  /// iread/iwrite: resolve the offset, advance the pointer, post to an ART.
+  sim::Task<AsyncHandle> post_async(int fd, UserBuffer buf);
+
+  /// Move [off, off + len) between `buf` (whose first byte is file offset
+  /// `off`) and the I/O nodes: map the range onto stripe extents, merge
+  /// them per I/O node when coalescing, and run one data RPC per group
+  /// concurrently. A read is clamped at EOF; a write extends the file
+  /// size. Returns the bytes moved. Flushes skip the syscall charge.
+  sim::Task<ByteCount> transfer(PfsFileMeta& meta, FileOffset off, ByteCount len,
+                                UserBuffer buf, bool fastpath, bool charge_syscall);
+
+  /// One data RPC inside the reliability envelope: bounded retries with
+  /// backoff, recovery waits on a down node, and a per-request deadline;
+  /// exhausting the budget throws FaultError. `extents` all live on one
+  /// I/O node and `base` is the file offset of `buf`'s first byte.
+  /// Unbatched, the RPC moves one extent (PfsServer::serve); batched
+  /// (PfsParams::coalesce_rpcs), every extent rides one scatter-gather RPC
+  /// (PfsServer::serve_batch) — one control round-trip, one server
+  /// request-handling charge, one data message.
+  sim::Task<void> data_rpc(PfsFileMeta& meta, std::span<const IoNodeRequest> extents,
+                           bool batched, FileOffset base, UserBuffer buf, bool fastpath);
 
   /// Per-file stripe-map cache (coalesced path only): the first operation
   /// on a file — and the first after any crash/restore bumps the mount's
@@ -251,7 +287,7 @@ class PfsClient : public TokenRevokeHandler {
   sim::Task<void> rpc_recover(int io_index, fault::ErrorCause cause, std::uint32_t attempt,
                               std::uint32_t failures, sim::SimTime deadline);
 
-  sim::Task<void> write_at(int fd, FileOffset off, std::span<const std::byte> in);
+  sim::Task<ByteCount> write_at(int fd, FileOffset off, std::span<const std::byte> in);
 
   // --- TokenWrite internals (all dormant unless params().write_tokens) ---
 
@@ -280,10 +316,6 @@ class PfsClient : public TokenRevokeHandler {
   /// remainders.
   void drop_token_range(FileId file, TokenRange range);
 
-  /// The raw striped store path (mapping + extent/coalesced RPCs + size
-  /// update) — write_at's body, reused by the write-back flushes.
-  sim::Task<void> store_range(PfsFileMeta& meta, FileOffset off,
-                              std::span<const std::byte> in);
   /// Flush dirty extents intersecting [begin, end), lowest offset first;
   /// each flush op also bumps `cause_counter`.
   sim::Task<void> flush_range(FileId file, FileOffset begin, FileOffset end,

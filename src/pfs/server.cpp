@@ -1,6 +1,8 @@
 #include "pfs/server.hpp"
 
+#include <deque>
 #include <limits>
+#include <utility>
 
 #include "hw/disk_sched.hpp"
 #include "sim/when_all.hpp"
@@ -17,7 +19,7 @@ PfsServer::PfsServer(hw::Machine& machine, int io_index, const PfsParams& params
       device_(machine.raid(io_index)),
       content_(params.ufs.block_bytes),
       ufs_(machine.simulation(), "ufs-io" + std::to_string(io_index), device_, content_,
-           &machine.cpu(mesh_node_), params.ufs, &machine.tracer()),
+           &machine.cpu(mesh_node_), params.ufs),
       up_ev_(machine.simulation()) {
   up_ev_.set();
 }
@@ -79,18 +81,28 @@ sim::Task<void> PfsServer::recover_and_come_up() {
   up_ev_.set();
 }
 
+fault::FaultError PfsServer::down_error() const {
+  return fault::FaultError(fault::ErrorCause::kNodeDown,
+                           "io" + std::to_string(io_index_) + " daemon down");
+}
+
+sim::Task<void> PfsServer::admit() {
+  if (down_) throw down_error();
+  ++requests_;
+  return machine_.cpu(mesh_node_).compute(params_.server_request_overhead);
+}
+
 std::uint64_t PfsServer::phys_key(const QueuedIo& item) const {
-  const ufs::Inode& ino = ufs_.inode_of(item.ino);
-  const std::uint64_t lblock = item.off / params_.ufs.block_bytes;
+  const ufs::Inode& ino = ufs_.inode_of(item.op->ino);
+  const std::uint64_t lblock = item.op->local_off / params_.ufs.block_bytes;
   if (lblock < ino.blocks.size()) return ino.blocks[lblock];
   return std::numeric_limits<std::uint64_t>::max();  // unallocated: serve last
 }
 
-void PfsServer::enqueue(QueuedIo& item) {
-  queue_.push_back(&item);
-  // The dispatcher is NOT kicked here: callers enqueue every extent of an
-  // RPC first, then spawn the (eager) dispatcher, so one RPC's extents are
-  // always sorted as a single batch.
+void PfsServer::kick_dispatcher() {
+  if (dispatcher_running_ || queue_.empty()) return;
+  dispatcher_running_ = true;
+  machine_.simulation().spawn(batch_dispatch());
 }
 
 sim::Task<void> PfsServer::sweep_and_signal(std::vector<sim::Task<void>> parts,
@@ -156,7 +168,7 @@ sim::Task<void> PfsServer::batch_dispatch() {
     for (std::size_t idx : order) {
       QueuedIo& item = *batch[idx];
       if (!down_ && !item.is_write && item.fastpath &&
-          ufs_.fastpath_read_eligible(item.ino, item.off, item.len)) {
+          ufs_.fastpath_read_eligible(item.op->ino, item.op->local_off, item.op->len)) {
         group.push_back(&item);
       } else {
         flush_group();
@@ -185,11 +197,12 @@ sim::Task<void> PfsServer::serve_sorted(std::vector<QueuedIo*> group) {
   std::vector<ufs::Ufs::BatchRead> reads;
   reads.reserve(group.size());
   for (const QueuedIo* item : group) {
-    reads.push_back(ufs::Ufs::BatchRead{item->ino, item->off, item->len, item->out, 0});
+    const ExtentOp& op = *item->op;
+    reads.push_back(ufs::Ufs::BatchRead{op.ino, op.local_off, op.len, op.out, 0});
   }
   try {
     co_await ufs_.read_sorted(reads);
-    for (std::size_t i = 0; i < group.size(); ++i) group[i]->got = reads[i].got;
+    for (std::size_t i = 0; i < group.size(); ++i) group[i]->op->got = reads[i].got;
   } catch (const fault::FaultError& e) {
     // A fault mid-sweep fails the whole group; each client retries its
     // (idempotent) RPC through the usual envelope.
@@ -203,22 +216,11 @@ sim::Task<void> PfsServer::serve_sorted(std::vector<QueuedIo*> group) {
 }
 
 sim::Task<void> PfsServer::serve_queued(QueuedIo& item) {
-  if (down_) {
+  try {
     // A crash fails everything still queued; clients recover through the
     // usual RPC envelope (down-wait, reissue after restore).
-    item.failed = true;
-    item.cause = fault::ErrorCause::kNodeDown;
-    item.what = "io" + std::to_string(io_index_) + " daemon down";
-    item.done.set();
-    co_return;
-  }
-  try {
-    if (item.is_write) {
-      co_await ufs_.write(item.ino, item.off, item.in, item.fastpath);
-      item.got = item.in.size();
-    } else {
-      item.got = co_await ufs_.read(item.ino, item.off, item.len, item.out, item.fastpath);
-    }
+    if (down_) throw down_error();
+    co_await access(*item.op, item.is_write, item.fastpath);
   } catch (const fault::FaultError& e) {
     item.failed = true;
     item.cause = e.cause();
@@ -227,171 +229,58 @@ sim::Task<void> PfsServer::serve_queued(QueuedIo& item) {
   item.done.set();
 }
 
-sim::Task<ByteCount> PfsServer::serve_extent(ufs::InodeNum ino, FileOffset off,
-                                             ByteCount len, std::span<std::byte> out,
-                                             std::span<const std::byte> in, bool is_write,
-                                             bool fastpath) {
-  if (!params_.server_batch) {
-    if (is_write) {
-      co_await ufs_.write(ino, off, in, fastpath);
-      co_return in.size();
-    }
-    co_return co_await ufs_.read(ino, off, len, out, fastpath);
+sim::Task<void> PfsServer::access(ExtentOp& op, bool is_write, bool fastpath) {
+  if (is_write) {
+    co_await ufs_.write(op.ino, op.local_off, op.in, fastpath);
+    op.got = op.in.size();
+  } else {
+    op.got = co_await ufs_.read(op.ino, op.local_off, op.len, op.out, fastpath);
   }
-
-  QueuedIo item(machine_.simulation());
-  item.ino = ino;
-  item.off = off;
-  item.len = len;
-  item.out = out;
-  item.in = in;
-  item.is_write = is_write;
-  item.fastpath = fastpath;
-  enqueue(item);
-  if (!dispatcher_running_) {
-    dispatcher_running_ = true;
-    machine_.simulation().spawn(batch_dispatch());
-  }
-  co_await item.done.wait();
-  if (item.failed) throw fault::FaultError(item.cause, item.what);
-  co_return item.got;
 }
 
-sim::Task<ByteCount> PfsServer::read(ufs::InodeNum ino, FileOffset local_off, ByteCount len,
-                                     std::span<std::byte> out, bool fastpath) {
-  if (down_) {
-    throw fault::FaultError(fault::ErrorCause::kNodeDown,
-                            "io" + std::to_string(io_index_) + " daemon down");
-  }
-  ++requests_;
-  co_await machine_.cpu(mesh_node_).compute(params_.server_request_overhead);
+sim::Task<void> PfsServer::serve(ExtentOp& op, bool is_write, bool fastpath) {
+  co_await admit();
   if (params_.server_batch) {
-    co_return co_await serve_extent(ino, local_off, len, out, {}, /*is_write=*/false,
-                                    fastpath);
+    QueuedIo item(machine_.simulation(), op, is_write, fastpath);
+    queue_.push_back(&item);
+    kick_dispatcher();
+    co_await item.done.wait();
+    if (item.failed) throw fault::FaultError(item.cause, item.what);
+  } else if (is_write) {
+    // The UFS call is awaited here, not through access(): the default
+    // path pays no extra coroutine frame per request.
+    co_await ufs_.write(op.ino, op.local_off, op.in, fastpath);
+    op.got = op.in.size();
+  } else {
+    op.got = co_await ufs_.read(op.ino, op.local_off, op.len, op.out, fastpath);
   }
-  co_return co_await ufs_.read(ino, local_off, len, out, fastpath);
 }
 
-sim::Task<void> PfsServer::write(ufs::InodeNum ino, FileOffset local_off,
-                                 std::span<const std::byte> in, bool fastpath) {
-  if (down_) {
-    throw fault::FaultError(fault::ErrorCause::kNodeDown,
-                            "io" + std::to_string(io_index_) + " daemon down");
-  }
-  ++requests_;
-  co_await machine_.cpu(mesh_node_).compute(params_.server_request_overhead);
-  if (params_.server_batch) {
-    co_await serve_extent(ino, local_off, 0, {}, in, /*is_write=*/true, fastpath);
-    co_return;
-  }
-  co_await ufs_.write(ino, local_off, in, fastpath);
-}
-
-sim::Task<void> PfsServer::read_batch(std::span<ExtentOp> ops, bool fastpath) {
-  if (down_) {
-    throw fault::FaultError(fault::ErrorCause::kNodeDown,
-                            "io" + std::to_string(io_index_) + " daemon down");
-  }
-  ++requests_;
+sim::Task<void> PfsServer::serve_batch(std::span<ExtentOp> ops, bool is_write, bool fastpath) {
   // One request-handling charge for the whole scatter-gather RPC — the
   // saving that motivates coalescing.
-  co_await machine_.cpu(mesh_node_).compute(params_.server_request_overhead);
+  co_await admit();
 
   if (params_.server_batch) {
-    // Enqueue every extent before kicking the dispatcher so the whole RPC
+    // Queue every extent before kicking the dispatcher so the whole RPC
     // sorts as one sweep (spawn runs the dispatcher eagerly).
     std::deque<QueuedIo> items;
     for (ExtentOp& op : ops) {
-      QueuedIo& item = items.emplace_back(machine_.simulation());
-      item.ino = op.ino;
-      item.off = op.local_off;
-      item.len = op.len;
-      item.out = op.out;
-      item.fastpath = fastpath;
-      enqueue(item);
+      queue_.push_back(&items.emplace_back(machine_.simulation(), op, is_write, fastpath));
     }
-    if (!dispatcher_running_ && !queue_.empty()) {
-      dispatcher_running_ = true;
-      machine_.simulation().spawn(batch_dispatch());
-    }
-    bool failed = false;
-    fault::ErrorCause cause{};
-    std::string what;
-    std::size_t i = 0;
-    for (ExtentOp& op : ops) {
-      QueuedIo& item = items[i++];
+    kick_dispatcher();
+    const QueuedIo* failed = nullptr;
+    for (QueuedIo& item : items) {
       co_await item.done.wait();
-      op.got = item.got;
-      if (item.failed && !failed) {
-        failed = true;
-        cause = item.cause;
-        what = item.what;
-      }
+      if (item.failed && failed == nullptr) failed = &item;
     }
-    if (failed) throw fault::FaultError(cause, what);
+    if (failed != nullptr) throw fault::FaultError(failed->cause, failed->what);
     co_return;
   }
 
   std::vector<sim::Task<void>> parts;
   parts.reserve(ops.size());
-  for (ExtentOp& op : ops) {
-    parts.push_back([](PfsServer& self, ExtentOp& o, bool fast) -> sim::Task<void> {
-      o.got = co_await self.ufs_.read(o.ino, o.local_off, o.len, o.out, fast);
-    }(*this, op, fastpath));
-  }
-  co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
-}
-
-sim::Task<void> PfsServer::write_batch(std::span<ExtentOp> ops, bool fastpath) {
-  if (down_) {
-    throw fault::FaultError(fault::ErrorCause::kNodeDown,
-                            "io" + std::to_string(io_index_) + " daemon down");
-  }
-  ++requests_;
-  co_await machine_.cpu(mesh_node_).compute(params_.server_request_overhead);
-
-  if (params_.server_batch) {
-    std::deque<QueuedIo> items;
-    for (ExtentOp& op : ops) {
-      QueuedIo& item = items.emplace_back(machine_.simulation());
-      item.ino = op.ino;
-      item.off = op.local_off;
-      item.in = op.in;
-      item.is_write = true;
-      item.fastpath = fastpath;
-      enqueue(item);
-    }
-    if (!dispatcher_running_ && !queue_.empty()) {
-      dispatcher_running_ = true;
-      machine_.simulation().spawn(batch_dispatch());
-    }
-    bool failed = false;
-    fault::ErrorCause cause{};
-    std::string what;
-    std::size_t i = 0;
-    for (ExtentOp& op : ops) {
-      QueuedIo& item = items[i++];
-      co_await item.done.wait();
-      op.got = item.got;
-      if (item.failed && !failed) {
-        failed = true;
-        cause = item.cause;
-        what = item.what;
-      }
-    }
-    if (failed) throw fault::FaultError(cause, what);
-    co_return;
-  }
-
-  std::vector<sim::Task<void>> parts;
-  parts.reserve(ops.size());
-  for (ExtentOp& op : ops) {
-    // ppfs-lint: allow(ref-across-await) o lives in `ops`, which outlives the when_all on `parts` below
-    parts.push_back([](PfsServer& self, ExtentOp& o, bool fast) -> sim::Task<void> {
-      co_await self.ufs_.write(o.ino, o.local_off, o.in, fast);
-      o.got = o.in.size();
-    }(*this, op, fastpath));
-  }
+  for (ExtentOp& op : ops) parts.push_back(access(op, is_write, fastpath));
   co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
 }
 

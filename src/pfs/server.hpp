@@ -7,8 +7,8 @@
 //
 // Data-path options (both default off; see DESIGN.md §8):
 //  - coalesce_rpcs: clients merge same-I/O-node extents into scatter-gather
-//    RPCs served by read_batch/write_batch — one request-handling charge
-//    and one control round-trip instead of one per extent.
+//    RPCs served by serve_batch — one request-handling charge and one
+//    control round-trip instead of one per extent.
 //  - server_batch: extent service funnels through a per-node queue; a
 //    spawn-on-demand dispatcher drains it in physical (elevator-sweep)
 //    order, so concurrently-arriving requests become one disk sweep
@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,17 +69,7 @@ class PfsServer {
   PfsServer(const PfsServer&) = delete;
   PfsServer& operator=(const PfsServer&) = delete;
 
-  /// Serve a read of a local stripe file. Charges server CPU, then runs
-  /// the UFS read (fast path when the request is aligned and the caller
-  /// asks for it).
-  sim::Task<ByteCount> read(ufs::InodeNum ino, FileOffset local_off, ByteCount len,
-                            std::span<std::byte> out, bool fastpath);
-
-  /// Serve a write of a local stripe file.
-  sim::Task<void> write(ufs::InodeNum ino, FileOffset local_off,
-                        std::span<const std::byte> in, bool fastpath);
-
-  /// One extent of a scatter-gather RPC.
+  /// One stripe-file extent of a request.
   struct ExtentOp {
     ufs::InodeNum ino;
     FileOffset local_off = 0;
@@ -90,13 +79,18 @@ class PfsServer {
     ByteCount got = 0;              // bytes actually moved, filled by the server
   };
 
+  /// Serve one extent of a local stripe file: a read fills op.out, a write
+  /// stores op.in, and op.got says how many bytes moved. Charges the
+  /// request-handling CPU, then runs the UFS access (fast path when the
+  /// extent is aligned and the caller asks for it).
+  sim::Task<void> serve(ExtentOp& op, bool is_write, bool fastpath);
+
   /// Serve every extent of one coalesced RPC: the request-handling CPU is
   /// charged once for the whole RPC, then the extents proceed concurrently
   /// (through the batch queue when server_batch is on). Fills op.got per
   /// extent. A failed extent surfaces as FaultError after the siblings
   /// settle — the client retries the whole (idempotent) RPC.
-  sim::Task<void> read_batch(std::span<ExtentOp> ops, bool fastpath);
-  sim::Task<void> write_batch(std::span<ExtentOp> ops, bool fastpath);
+  sim::Task<void> serve_batch(std::span<ExtentOp> ops, bool is_write, bool fastpath);
 
   ufs::Ufs& ufs() noexcept { return ufs_; }
   int io_index() const noexcept { return io_index_; }
@@ -137,30 +131,27 @@ class PfsServer {
   }
 
  private:
-  /// A queued extent awaiting the batch dispatcher. Lives in the enqueuing
-  /// coroutine's frame until `done` fires.
+  /// An extent queued for the batch dispatcher, which sets op->got. Lives
+  /// in the enqueuing coroutine's frame until `done` fires.
   struct QueuedIo {
-    ufs::InodeNum ino;
-    FileOffset off = 0;
-    ByteCount len = 0;
-    std::span<std::byte> out;
-    std::span<const std::byte> in;
-    bool is_write = false;
-    bool fastpath = true;
-    ByteCount got = 0;
+    QueuedIo(sim::Simulation& s, ExtentOp& o, bool write, bool fast)
+        : op(&o), is_write(write), fastpath(fast), done(s) {}
+    ExtentOp* op;
+    bool is_write;
+    bool fastpath;
     bool failed = false;
     fault::ErrorCause cause{};
     std::string what;
     sim::Event done;
-    explicit QueuedIo(sim::Simulation& s) : done(s) {}
   };
 
-  /// Run one extent: enqueue for the dispatcher when server_batch is on,
-  /// otherwise hit the UFS directly (the legacy event sequence).
-  sim::Task<ByteCount> serve_extent(ufs::InodeNum ino, FileOffset off, ByteCount len,
-                                    std::span<std::byte> out, std::span<const std::byte> in,
-                                    bool is_write, bool fastpath);
-  void enqueue(QueuedIo& item);
+  /// Admission shared by every request: a down daemon refuses it; an up
+  /// one counts it and returns the request-handling CPU charge to await.
+  sim::Task<void> admit();
+  fault::FaultError down_error() const;
+  /// Start the dispatcher unless it runs. Callers queue every extent of a
+  /// request first, so the request sorts as one batch.
+  void kick_dispatcher();
   sim::Task<void> batch_dispatch();
   /// Run one sweep's tasks to completion, then fire `done` (the
   /// dispatcher's pipelining handle).
@@ -168,6 +159,8 @@ class PfsServer {
                                    std::uint64_t trace_span);
   /// One sweep item: UFS access with FaultError captured into the item.
   sim::Task<void> serve_queued(QueuedIo& item);
+  /// The UFS read or write behind one extent; sets op.got.
+  sim::Task<void> access(ExtentOp& op, bool is_write, bool fastpath);
   /// A run of fastpath-eligible sweep reads served as one sorted UFS
   /// batch (contiguous blocks merge into single device transfers).
   sim::Task<void> serve_sorted(std::vector<QueuedIo*> group);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace ppfs::pfs {
 
@@ -56,12 +57,10 @@ std::vector<CoalescedRequest> coalesce_by_io(std::vector<IoNodeRequest> reqs) {
       }
     }
     if (!dst) {
-      out.push_back(CoalescedRequest{req.io_index, 0, {}});
+      out.push_back(CoalescedRequest{req.io_index, {}});
       dst = &out.back();
     }
-    dst->length += req.length;
-    dst->extents.push_back(CoalescedExtent{req.group_slot, req.local_offset, req.length,
-                                           std::move(req.pieces)});
+    dst->extents.push_back(std::move(req));
   }
   return out;
 }

@@ -51,24 +51,14 @@ struct IoNodeRequest {
   std::vector<StripePiece> pieces;  // in local order; file_offset ascending
 };
 
-/// One stripe-file extent inside a coalesced (scatter-gather) RPC. Each
-/// extent is contiguous within its own stripe file; `group_slot` selects
-/// which stripe file on the target node.
-struct CoalescedExtent {
-  int group_slot;
-  FileOffset local_offset;
-  ByteCount length;
-  std::vector<StripePiece> pieces;  // file-space slices, offset ascending
-};
-
 /// All of one byte-range's traffic to a single I/O node, merged into one
 /// RPC: one control round-trip moves every extent the node serves. With
 /// the Table-4 "stripe 8 ways across 1 node" layout this turns 8 per-slot
-/// RPCs into 1.
+/// RPCs into 1. Each extent is contiguous within its own stripe file;
+/// every extent's io_index is the request's.
 struct CoalescedRequest {
   int io_index;
-  ByteCount length = 0;  // sum of extent lengths
-  std::vector<CoalescedExtent> extents;
+  std::vector<IoNodeRequest> extents;
 };
 
 /// Merge per-slot requests into per-I/O-node scatter-gather requests.

@@ -1,65 +1,10 @@
 #include "sim/stats.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
-#include <numeric>
-#include <sstream>
 
 namespace ppfs::sim {
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(n_ + other.n_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) * static_cast<double>(other.n_) / total;
-  mean_ = (mean_ * static_cast<double>(n_) + other.mean_ * static_cast<double>(other.n_)) / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void SampleSet::ensure_sorted() {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-double SampleSet::percentile(double p) {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double SampleSet::mean() const {
-  if (samples_.empty()) return 0.0;
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
-}
-
-double SampleSet::min() {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  return samples_.front();
-}
-
-double SampleSet::max() {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  return samples_.back();
-}
 
 std::size_t StreamingQuantiles::bin_of(double x) noexcept {
   // Bin by the bit width of the sample in whole nanoseconds: 0ns -> bin 0,
@@ -113,55 +58,6 @@ double StreamingQuantiles::percentile(double p) const {
     }
   }
   return max_;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), bins_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  std::size_t i;
-  if (x < lo_) {
-    i = 0;
-  } else if (x >= hi_) {
-    i = bins_.size() - 1;
-  } else {
-    i = static_cast<std::size_t>((x - lo_) / width_);
-    if (i >= bins_.size()) i = bins_.size() - 1;
-  }
-  ++bins_[i];
-  ++total_;
-}
-
-std::string Histogram::ascii(std::size_t max_width) const {
-  std::size_t peak = 0;
-  for (auto c : bins_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    const auto bar =
-        peak ? bins_[i] * max_width / peak : 0;
-    out << "[" << bin_lo(i) << ", " << bin_lo(i) + width_ << ") "
-        << std::string(bar, '#') << " " << bins_[i] << "\n";
-  }
-  return out.str();
-}
-
-void TimeWeighted::record(SimTime now, double value) {
-  if (!started_) {
-    started_ = true;
-    start_ = now;
-  } else {
-    area_ += value_ * (now - last_);
-  }
-  last_ = now;
-  value_ = value;
-}
-
-double TimeWeighted::average(SimTime now) const {
-  if (!started_ || now <= start_) return value_;
-  const double area = area_ + value_ * (now - last_);
-  return area / (now - start_);
 }
 
 }  // namespace ppfs::sim

@@ -1,83 +1,19 @@
 // Statistics collection for experiments.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
-
-#include "sim/types.hpp"
 
 namespace ppfs::sim {
 
-/// Streaming mean/variance/min/max (Welford). O(1) memory.
-class RunningStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-    sum_ += x;
-  }
-
-  std::size_t count() const noexcept { return n_; }
-  double sum() const noexcept { return sum_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const noexcept;
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-
-  void merge(const RunningStats& other);
-  void reset() { *this = RunningStats{}; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Stores every sample; supports exact percentiles. Use for per-request
-/// latency distributions (sample counts here are small: thousands).
-class SampleSet {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-  std::size_t count() const noexcept { return samples_.size(); }
-  double percentile(double p);  // p in [0,100]
-  double median() { return percentile(50.0); }
-  double mean() const;
-  double min();
-  double max();
-  const std::vector<double>& samples() const noexcept { return samples_; }
-  void reset() {
-    samples_.clear();
-    sorted_ = false;
-  }
-
- private:
-  void ensure_sorted();
-  std::vector<double> samples_;
-  bool sorted_ = false;
-};
-
 /// Fixed-footprint streaming quantile sketch: log2-spaced bins (one per
 /// power of two of nanoseconds) plus exact count/sum/min/max. Memory is
-/// sizeof(*this) no matter how many samples arrive — the production-scale
-/// replacement for SampleSet, whose per-sample vector made stats the
-/// dominant allocation of long runs. Quantiles are estimated at the
-/// geometric midpoint of the covering bin (clamped to [min, max]); the
+/// sizeof(*this) no matter how many samples arrive, where a per-sample
+/// vector would make stats the dominant allocation of long runs. Quantiles
+/// are estimated at the geometric midpoint of the covering bin (clamped to
+/// [min, max]); the
 /// relative error is bounded by the bin ratio (sqrt(2) ~ 41% worst case,
 /// far tighter in practice since latencies cluster within a few bins).
 class StreamingQuantiles {
@@ -110,40 +46,6 @@ class StreamingQuantiles {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width linear histogram over [lo, hi); out-of-range samples land in
-/// the edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return bins_.at(i); }
-  std::size_t bins() const noexcept { return bins_.size(); }
-  std::size_t total() const noexcept { return total_; }
-  double bin_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-  double bin_width() const noexcept { return width_; }
-  std::string ascii(std::size_t max_width = 50) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> bins_;
-  std::size_t total_ = 0;
-};
-
-/// Time-weighted average of a piecewise-constant signal (e.g. queue length).
-class TimeWeighted {
- public:
-  void record(SimTime now, double value);
-  double average(SimTime now) const;
-  double current() const noexcept { return value_; }
-
- private:
-  SimTime last_ = 0.0;
-  double value_ = 0.0;
-  double area_ = 0.0;
-  bool started_ = false;
-  SimTime start_ = 0.0;
 };
 
 }  // namespace ppfs::sim

@@ -7,8 +7,9 @@
 //    exact p50/p95/p99/max from the recorded envelopes;
 //  * prefetch-buffer occupancy stats from the occupancy counter samples.
 //
-// Cold path only (post-run); percentiles are computed here directly rather
-// than via sim's SampleSet so ppfs_trace stays dependency-free.
+// Cold path only (post-run). Percentiles are exact, read off the sorted
+// envelope latencies here, so ppfs_trace links nothing from sim/ (which
+// links it).
 #pragma once
 
 #include <array>

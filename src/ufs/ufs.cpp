@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -12,14 +11,13 @@
 namespace ppfs::ufs {
 
 Ufs::Ufs(sim::Simulation& s, std::string name, BlockDevice& device, ContentStore& content,
-         hw::NodeCpu* cpu, UfsParams params, sim::Tracer* tracer)
+         hw::NodeCpu* cpu, UfsParams params)
     : sim_(s),
       name_(std::move(name)),
       device_(device),
       content_(content),
       cpu_(cpu),
       params_(params),
-      tracer_(tracer),
       allocator_(device.capacity_bytes() / params.block_bytes),
       cache_(
           s, params.cache_blocks, params.block_bytes,
@@ -98,13 +96,6 @@ sim::Task<ByteCount> Ufs::read(InodeNum ino, FileOffset off, ByteCount len,
   assert(out.size() >= len);
   ++stats_.reads;
   stats_.bytes_read += len;
-
-  if (tracer_ && tracer_->enabled(sim::TraceCat::kUfs)) {
-    std::ostringstream msg;
-    msg << "read ino=" << ino << " off=" << off << " len=" << len
-        << (fastpath && aligned(off, len) ? " [fastpath]" : " [buffered]");
-    tracer_->log(sim::TraceCat::kUfs, sim_.now(), name_, msg.str());
-  }
 
   if (fastpath && aligned(off, len)) {
     ++stats_.fastpath_reads;
@@ -192,12 +183,6 @@ sim::Task<void> Ufs::read_sorted(std::span<BatchRead> items) {
   }
   std::stable_sort(refs.begin(), refs.end(),
                    [](const BlockRef& a, const BlockRef& b) { return a.phys < b.phys; });
-
-  if (tracer_ && tracer_->enabled(sim::TraceCat::kUfs)) {
-    std::ostringstream msg;
-    msg << "read_sorted items=" << items.size() << " blocks=" << refs.size();
-    tracer_->log(sim::TraceCat::kUfs, sim_.now(), name_, msg.str());
-  }
 
   std::size_t i = 0;
   while (i < refs.size()) {

@@ -25,7 +25,6 @@
 #include "hw/node.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
-#include "sim/trace.hpp"
 #include "sim/types.hpp"
 #include "ufs/block_store.hpp"
 #include "ufs/buffer_cache.hpp"
@@ -70,7 +69,7 @@ struct UfsStats {
 class Ufs {
  public:
   Ufs(sim::Simulation& s, std::string name, BlockDevice& device, ContentStore& content,
-      hw::NodeCpu* cpu, UfsParams params, sim::Tracer* tracer = nullptr);
+      hw::NodeCpu* cpu, UfsParams params);
   Ufs(const Ufs&) = delete;
   Ufs& operator=(const Ufs&) = delete;
 
@@ -174,7 +173,6 @@ class Ufs {
   ContentStore& content_;
   hw::NodeCpu* cpu_;  // may be null in unit tests (no copy cost charged)
   UfsParams params_;
-  sim::Tracer* tracer_;
   InodeTable inodes_;
   BlockAllocator allocator_;
   BufferCache cache_;

@@ -340,6 +340,7 @@ ExperimentResult Experiment::run(const WorkloadSpec& w, trace::TraceSink* sink,
       res.prefetch.misses += st.misses;
       res.prefetch.stale_discarded += st.stale_discarded;
       res.prefetch.wasted += st.wasted;
+      res.prefetch.throttled_skips += st.throttled_skips;
       res.prefetch.bytes_prefetched += st.bytes_prefetched;
       res.prefetch.bytes_served += st.bytes_served;
       res.prefetch.wait_time += st.wait_time;

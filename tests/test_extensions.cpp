@@ -356,6 +356,27 @@ TEST(AdaptivePrefetch, DisabledByDefaultNeverThrottles) {
   }(b, *engine));
 }
 
+TEST(AdaptivePrefetch, ExperimentSumsThrottledSkipsAcrossEngines) {
+  // ppfs_run --mode M_ASYNC --pattern strided --stride 4 --file 64M
+  //         --prefetch --adaptive --delay 0.02
+  workload::WorkloadSpec w;
+  w.mode = pfs::IoMode::kAsync;
+  w.pattern = workload::AccessPattern::kStrided;
+  w.stride = 4;
+  w.file_size = 64 * 1024 * 1024;
+  w.compute_delay = 0.02;
+  w.prefetch = true;
+  w.prefetch_cfg.adaptive = true;
+  const auto r = workload::Experiment().run(w);
+  // On each engine, every after_read call either counts one throttled skip
+  // or one depth-histogram bucket (the run has no faults to gate it), so
+  // the per-engine skips sum to the reads less the summed histogram.
+  std::uint64_t decided = 0;
+  for (const std::uint64_t n : r.prefetch.depth_hist) decided += n;
+  EXPECT_GT(r.prefetch.throttled_skips, 0u);
+  EXPECT_EQ(r.prefetch.throttled_skips, r.reads - decided);
+}
+
 // --- buffered workloads with server readahead, end to end ---
 
 TEST(ServerReadahead, BufferedWorkloadVerifiesAndReadahead) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -13,6 +15,8 @@
 #include "sim/simulation.hpp"
 #include "sim/when_all.hpp"
 #include "test_util.hpp"
+#include "trace/record.hpp"
+#include "trace/sink.hpp"
 
 namespace ppfs::pfs {
 namespace {
@@ -506,6 +510,73 @@ TEST(PfsClient, SeparateFilesDontInterfereLogically) {
     }(tb, r));
   }
   run_task(tb.sim, sim::when_all(tb.sim, std::move(procs)));
+}
+
+// --- coordinated-mode writes ------------------------------------------------
+//
+// The experiment drivers only write in M_ASYNC, so these pin the write side
+// of the per-mode pointer/lock/collective claim: one 64 KB write per rank in
+// each coordinated mode on a 4x4 test bed, traced.
+
+struct ModeWriteRun {
+  std::uint64_t digest = 0;
+  std::size_t pointer_spans = 0;    // kRpcPointer spans opened
+  std::size_t unflagged_spans = 0;  // ... of which lack kFlagWrite
+};
+
+ModeWriteRun run_mode_write(IoMode mode) {
+  Testbed tb(4, 4);
+  tb.populate("f", 512 * 1024);
+  trace::TraceSink sink;
+  tb.sim.set_trace_sink(&sink);
+  std::vector<std::vector<std::byte>> bufs;
+  for (int r = 0; r < 4; ++r) bufs.push_back(make_pattern(10 + r, 0, 64 * 1024));
+  std::vector<Task<void>> procs;
+  for (int r = 0; r < 4; ++r) {
+    procs.push_back([](Testbed& t, int rank, IoMode m,
+                       std::span<const std::byte> in) -> Task<void> {
+      const int fd = co_await t.clients[rank]->open("f", m);
+      EXPECT_EQ(co_await t.clients[rank]->write(fd, in), in.size());
+      t.clients[rank]->close(fd);
+    }(tb, r, mode, bufs[r]));
+  }
+  run_task(tb.sim, sim::when_all(tb.sim, std::move(procs)));
+  tb.sim.set_trace_sink(nullptr);
+
+  ModeWriteRun out;
+  out.digest = tb.sim.digest();
+  for (std::size_t i = 0; i < sink.size(); ++i) {
+    const trace::TraceRecord& rec = sink.at(i);
+    if (rec.track != trace::TraceTrack::kRpc || rec.event != trace::code::kRpcPointer ||
+        rec.kind != trace::TraceKind::kSpanBegin) {
+      continue;
+    }
+    ++out.pointer_spans;
+    if ((rec.flags & trace::kFlagWrite) == 0) ++out.unflagged_spans;
+  }
+  return out;
+}
+
+constexpr std::pair<IoMode, std::uint64_t> kModeWriteGoldens[] = {
+    {IoMode::kUnix, 0xddf83cff81602773ull},
+    {IoMode::kLog, 0x27b36be210da1c19ull},
+    {IoMode::kSync, 0x99a7a44e2a271620ull},
+    {IoMode::kGlobal, 0xf2630392c10c89bdull},
+};
+
+TEST(PfsClient, CoordinatedModeWritesKeepGoldenDigests) {
+  for (const auto& [mode, digest] : kModeWriteGoldens) {
+    const std::uint64_t got = run_mode_write(mode).digest;
+    EXPECT_EQ(got, digest) << to_string(mode) << std::hex << " got 0x" << got;
+  }
+}
+
+TEST(PfsClient, WritePointerSpansCarryWriteFlag) {
+  for (const auto& [mode, digest] : kModeWriteGoldens) {
+    const ModeWriteRun run = run_mode_write(mode);
+    EXPECT_EQ(run.pointer_spans, 4u) << to_string(mode);
+    EXPECT_EQ(run.unflagged_spans, 0u) << to_string(mode);
+  }
 }
 
 TEST(ArtQueue, FifoIssueOrder) {
