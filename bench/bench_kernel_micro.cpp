@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the simulator substrate itself:
 // event-queue throughput, coroutine spawn cost, resource contention,
-// stripe mapping, RNG, and pattern fill. These guard the simulator's own
-// performance — the paper benches run millions of events per sweep.
+// stripe mapping, RNG, and pattern fill and verify. These guard the
+// simulator's own performance — the paper benches run millions of events
+// per sweep.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -91,13 +92,32 @@ BENCHMARK(BM_RngNext);
 
 void BM_PatternFill(benchmark::State& state) {
   std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)) * 1024);
+  // The start comes from run-time data and moves on by a buffer each
+  // iteration, as a populate's does, so no fill can be folded or hoisted.
+  auto start = static_cast<ppfs::sim::FileOffset>(state.range(0));
   for (auto _ : state) {
-    ppfs::workload::fill_pattern(7, 0, buf);
+    ppfs::workload::fill_pattern(7, start, buf);
     benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+    start += buf.size();
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_PatternFill)->Arg(64)->Arg(1024);
+
+void BM_PatternVerify(benchmark::State& state) {
+  std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)) * 1024);
+  const auto start = static_cast<ppfs::sim::FileOffset>(state.range(0));
+  ppfs::workload::fill_pattern(7, start, buf);
+  std::size_t at = 0;
+  for (auto _ : state) {
+    at = ppfs::workload::find_pattern_mismatch(7, start, buf);
+    benchmark::DoNotOptimize(at);
+  }
+  if (at != ppfs::workload::kNoMismatch) state.SkipWithError("verify misread a clean buffer");
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_PatternVerify)->Arg(64)->Arg(1024);
 
 }  // namespace
 

@@ -1,18 +1,28 @@
 #include "workload/generator.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstring>
 #include <utility>
+
+#include "workload/pattern_kernel.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace ppfs::workload {
 
 namespace {
 
-/// find_pattern_mismatch synthesizes the expected bytes into a stack block
-/// of this size and compares it with memcmp.
-constexpr std::size_t kVerifyBlock = 4096;
+// ---- Portable kernel: one 64-bit word at a time -------------------------
+//
+// pattern_byte(tag, off) is pattern_byte(tag, 0) XOR byte 4 of
+// off * kPatternOffMul: the tag contributes one constant byte, and the
+// offset product grows by kPatternOffMul per byte (mod 2^64, so offsets
+// that wrap stay exact). Eight bytes are assembled from one running product.
+// This kernel runs on CPUs without the vector ISA and on the ragged tails
+// the vector kernel leaves.
 
 /// Shift that puts byte j of a word at address offset j once stored.
 constexpr unsigned word_shift(std::size_t j) {
@@ -27,7 +37,194 @@ std::uint64_t offset_word(std::uint64_t x, std::index_sequence<J...>) {
   return (((((x + J * kPatternOffMul) >> 32) & 0xff) << word_shift(J)) | ...);
 }
 
+/// pattern_byte(tag, 0) in every byte of a word.
+std::uint64_t tag_word(std::uint64_t tag) {
+  return std::to_integer<std::uint64_t>(pattern_byte(tag, 0)) * 0x0101010101010101ull;
+}
+
+void fill_words(std::uint64_t tag, FileOffset start, std::span<std::byte> out) {
+  const std::uint64_t tw = tag_word(tag);
+  std::uint64_t x = start * kPatternOffMul;
+  std::size_t i = 0;
+  for (; i + 8 <= out.size(); i += 8) {
+    const std::uint64_t w = offset_word(x, std::make_index_sequence<8>{}) ^ tw;
+    std::memcpy(out.data() + i, &w, sizeof w);
+    x += 8 * kPatternOffMul;
+  }
+  for (; i < out.size(); ++i) out[i] = pattern_byte(tag, start + i);
+}
+
+std::size_t mismatch_words(std::uint64_t tag, FileOffset start,
+                           std::span<const std::byte> data) {
+  const std::uint64_t tw = tag_word(tag);
+  std::uint64_t x = start * kPatternOffMul;
+  std::size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    std::uint64_t got = 0;
+    std::memcpy(&got, data.data() + i, sizeof got);
+    const std::uint64_t diff = got ^ offset_word(x, std::make_index_sequence<8>{}) ^ tw;
+    if (diff != 0) {
+      // The differing byte nearest the word's lowest address.
+      return i + static_cast<std::size_t>(std::endian::native == std::endian::little
+                                              ? std::countr_zero(diff) / 8
+                                              : std::countl_zero(diff) / 8);
+    }
+    x += 8 * kPatternOffMul;
+  }
+  for (; i < data.size(); ++i) {
+    if (data[i] != pattern_byte(tag, start + i)) return i;
+  }
+  return kNoMismatch;
+}
+
+#if defined(__x86_64__)
+
+// ---- AVX2 kernel: 32 bytes per step --------------------------------------
+//
+// Byte j of a 32-byte block whose first offset product is X is byte 4 of
+// X + j*M (M = kPatternOffMul). Split at bit 32, that byte is
+//
+//   byte 4 of X  +  byte 4 of j*M  +  carry_j   (mod 256),
+//
+// where carry_j = 1 when the low words overflow: lo(X) > ~lo(j*M). So a
+// block needs no 64-bit product per byte, only 32 unsigned compares of one
+// low word against constants. The low word sits in every 32-bit lane,
+// offset by 2^31 so that the signed vpcmpgtd orders it as unsigned. Four
+// compares give each byte's carry as an all-ones lane; two vpackssdw and a
+// vpacksswb narrow the 32 lanes to bytes, and the constants are stored in
+// the lane order that puts byte j's carry at byte j. The byte-4 sums live
+// in one byte vector `hi`, so a block is (hi - carries) ^ tag byte. Moving
+// to the next block adds 32*M to X: lo(32*M) to every low-word lane, and
+// byte 4 of 32*M plus that addition's own carry to every byte of `hi`.
+// A block takes five compares, three packs and five byte or lane adds,
+// subtracts and XORs: no 64-bit multiply and no shuffle per byte.
+
+constexpr std::uint64_t kBlock = 32;
+constexpr std::uint64_t kBlockStep = kBlock * kPatternOffMul;
+
+/// A low word offset by 2^31, as one 32-bit lane.
+constexpr std::int32_t biased(std::uint32_t lo) {
+  return static_cast<std::int32_t>(lo ^ 0x80000000u);
+}
+
+struct Avx2Constants {
+  /// ~lo(j*M), biased, for byte j = 16h + 8s + 4t + u of a block, held in
+  /// lane 4h + u of vector 2s + t: the packs interleave 128-bit halves, so
+  /// that is where they take byte j from.
+  std::int32_t carry_above[4][8];
+  /// Byte 4 of j*M.
+  std::uint8_t hi[kBlock];
+};
+
+constexpr Avx2Constants make_avx2_constants() {
+  Avx2Constants c{};
+  for (std::uint64_t j = 0; j < kBlock; ++j) {
+    const std::uint64_t p = j * kPatternOffMul;
+    c.carry_above[2 * ((j >> 3) & 1) + ((j >> 2) & 1)][4 * (j >> 4) + (j & 3)] =
+        biased(~static_cast<std::uint32_t>(p));
+    c.hi[j] = static_cast<std::uint8_t>(p >> 32);
+  }
+  return c;
+}
+
+constexpr Avx2Constants kAvx2 = make_avx2_constants();
+
+/// Generator state for the next block.
+struct Avx2Stream {
+  __m256i lo;   ///< lo(X), biased, in every 32-bit lane
+  __m256i hi;   ///< byte j: byte 4 of X + byte 4 of j*M
+  __m256i tag;  ///< pattern_byte(tag, 0) in every byte
+};
+
+[[gnu::target("avx2")]] inline __m256i load256(const void* p) {
+  return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+}
+
+[[gnu::target("avx2")]] void avx2_start(Avx2Stream& s, std::uint64_t tag, FileOffset start) {
+  const std::uint64_t x = start * kPatternOffMul;
+  s.lo = _mm256_set1_epi32(biased(static_cast<std::uint32_t>(x)));
+  s.hi = _mm256_add_epi8(_mm256_set1_epi8(static_cast<char>(x >> 32)), load256(kAvx2.hi));
+  s.tag = _mm256_set1_epi8(std::to_integer<char>(pattern_byte(tag, 0)));
+}
+
+/// The pattern bytes of the current block; advances to the next.
+[[gnu::target("avx2"), gnu::always_inline]] inline __m256i avx2_next(Avx2Stream& s) {
+  const __m256i c0 = _mm256_cmpgt_epi32(s.lo, load256(kAvx2.carry_above[0]));
+  const __m256i c1 = _mm256_cmpgt_epi32(s.lo, load256(kAvx2.carry_above[1]));
+  const __m256i c2 = _mm256_cmpgt_epi32(s.lo, load256(kAvx2.carry_above[2]));
+  const __m256i c3 = _mm256_cmpgt_epi32(s.lo, load256(kAvx2.carry_above[3]));
+  const __m256i carries =
+      _mm256_packs_epi16(_mm256_packs_epi32(c0, c1), _mm256_packs_epi32(c2, c3));
+  const __m256i bytes = _mm256_xor_si256(_mm256_sub_epi8(s.hi, carries), s.tag);
+  const __m256i step_carry = _mm256_cmpgt_epi32(
+      s.lo, _mm256_set1_epi32(biased(~static_cast<std::uint32_t>(kBlockStep))));
+  s.lo = _mm256_add_epi32(s.lo, _mm256_set1_epi32(static_cast<std::int32_t>(
+                                    static_cast<std::uint32_t>(kBlockStep))));
+  s.hi = _mm256_sub_epi8(
+      _mm256_add_epi8(s.hi, _mm256_set1_epi8(static_cast<char>(kBlockStep >> 32))), step_carry);
+  return bytes;
+}
+
+[[gnu::target("avx2")]] void fill_avx2(std::uint64_t tag, FileOffset start,
+                                       std::span<std::byte> out) {
+  Avx2Stream s;
+  avx2_start(s, tag, start);
+  std::size_t i = 0;
+  for (; i + kBlock <= out.size(); i += kBlock) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out.data() + i), avx2_next(s));
+  }
+  fill_words(tag, start + i, out.subspan(i));
+}
+
+[[gnu::target("avx2")]] std::size_t mismatch_avx2(std::uint64_t tag, FileOffset start,
+                                                  std::span<const std::byte> data) {
+  Avx2Stream s;
+  avx2_start(s, tag, start);
+  std::size_t i = 0;
+  for (; i + kBlock <= data.size(); i += kBlock) {
+    const __m256i same = _mm256_cmpeq_epi8(avx2_next(s), load256(data.data() + i));
+    // Bit k is byte k's compare; x86 keeps address order in the register.
+    const auto mask = static_cast<std::uint32_t>(_mm256_movemask_epi8(same));
+    if (mask != 0xffffffffu) return i + static_cast<std::size_t>(std::countr_zero(~mask));
+  }
+  const std::size_t tail = mismatch_words(tag, start + i, data.subspan(i));
+  return tail == kNoMismatch ? kNoMismatch : i + tail;
+}
+
+bool cpu_has_avx2() {
+  // The CPU model may not be initialised yet when this runs from a static
+  // initializer.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+
+#endif  // __x86_64__
+
+/// The last runnable entry of pattern_kernels(), chosen on first use.
+const detail::PatternKernel& best_kernel() {
+  static const detail::PatternKernel& best = []() -> const detail::PatternKernel& {
+    const auto kernels = detail::pattern_kernels();
+    return *std::find_if(kernels.rbegin(), kernels.rend(),
+                         [](const detail::PatternKernel& k) { return k.runnable; });
+  }();
+  return best;
+}
+
 }  // namespace
+
+namespace detail {
+
+std::span<const PatternKernel> pattern_kernels() {
+  static const PatternKernel kernels[] = {
+      {"word", true, fill_words, mismatch_words},
+#if defined(__x86_64__)
+      {"avx2", cpu_has_avx2(), fill_avx2, mismatch_avx2},
+#endif
+  };
+  return kernels;
+}
+
+}  // namespace detail
 
 const char* pattern_name(AccessPattern p) {
   switch (p) {
@@ -70,38 +267,12 @@ std::uint64_t listio_reads_per_node(const WorkloadSpec& w, int nprocs) {
 }
 
 void fill_pattern(std::uint64_t tag, FileOffset start, std::span<std::byte> out) {
-  // pattern_byte(tag, off) is pattern_byte(tag, 0) XOR byte 4 of
-  // off * kPatternOffMul: the tag contributes one constant byte, and the
-  // offset product grows by kPatternOffMul per byte (mod 2^64, so offsets
-  // that wrap stay exact). Eight bytes are assembled into one word and
-  // stored at once.
-  const std::uint64_t tag_word =
-      std::to_integer<std::uint64_t>(pattern_byte(tag, 0)) * 0x0101010101010101ull;
-  std::uint64_t x = start * kPatternOffMul;
-  std::size_t i = 0;
-  for (; i + 8 <= out.size(); i += 8) {
-    const std::uint64_t w = offset_word(x, std::make_index_sequence<8>{}) ^ tag_word;
-    std::memcpy(out.data() + i, &w, sizeof w);
-    x += 8 * kPatternOffMul;
-  }
-  for (; i < out.size(); ++i) out[i] = pattern_byte(tag, start + i);
+  best_kernel().fill(tag, start, out);
 }
 
 std::size_t find_pattern_mismatch(std::uint64_t tag, FileOffset start,
                                   std::span<const std::byte> data) {
-  std::array<std::byte, kVerifyBlock> expect;
-  for (std::size_t done = 0; done < data.size();) {
-    const std::size_t n = std::min(kVerifyBlock, data.size() - done);
-    fill_pattern(tag, start + done, std::span(expect).first(n));
-    if (std::memcmp(data.data() + done, expect.data(), n) != 0) {
-      // The block differs somewhere: scan it for the first differing byte.
-      std::size_t i = 0;
-      while (data[done + i] == expect[i]) ++i;
-      return done + i;
-    }
-    done += n;
-  }
-  return kNoMismatch;
+  return best_kernel().find_mismatch(tag, start, data);
 }
 
 }  // namespace ppfs::workload

@@ -79,7 +79,7 @@ inline constexpr std::uint64_t kPatternOffMul = 0xbf58476d1ce4e5b9ull;
 /// Deterministic file content so any data path bug is observable: byte at
 /// offset `off` of the file tagged `tag` mixes both values. This is the one
 /// definition of file content; fill_pattern and find_pattern_mismatch
-/// produce exactly these bytes, a 64-bit word at a time.
+/// produce exactly these bytes, many at a time.
 inline std::byte pattern_byte(std::uint64_t tag, std::uint64_t off) {
   const std::uint64_t x = (tag * kPatternTagMul) ^ (off * kPatternOffMul);
   return static_cast<std::byte>((x >> 32) & 0xff);
@@ -107,7 +107,8 @@ FileOffset listio_offset(const WorkloadSpec& w, int rank, int nprocs, std::uint6
 /// Reads per node under kListIo: whole frames in the region, extents each.
 std::uint64_t listio_reads_per_node(const WorkloadSpec& w, int nprocs);
 
-/// Index of the first mismatching byte, or npos when clean.
+/// Index of the first byte of `data` that differs from
+/// pattern_byte(tag, start + index), or kNoMismatch when none does.
 std::size_t find_pattern_mismatch(std::uint64_t tag, FileOffset start,
                                   std::span<const std::byte> data);
 inline constexpr std::size_t kNoMismatch = static_cast<std::size_t>(-1);

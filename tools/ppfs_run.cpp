@@ -2,6 +2,7 @@
 // Paragon from the command line, printing the paper's metrics.
 //
 //   $ ppfs_run --mode M_RECORD --request 256K --file 16M --delay 0.05 --compare
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -197,6 +198,33 @@ bool selfcheck_write(const WriteWorkloadSpec& spec, const char* label) {
   return ok;
 }
 
+/// The exit status of every mode that runs workloads, folded over all of
+/// its runs: 1 when any byte failed verification, else 3 when any run gave
+/// up on a fault (a retry budget exhausted or a FaultError surfacing to
+/// application code), else 0. Scripts and CI gate on both.
+struct ExitStatus {
+  std::uint64_t verify_failures = 0;
+  std::uint64_t terminal_errors = 0;
+  std::uint64_t app_errors = 0;
+
+  ExitStatus& add(const ExperimentResult& r) {
+    verify_failures += r.verify_failures;
+    terminal_errors += r.faults.terminal_errors;
+    app_errors += r.faults.app_errors;
+    return *this;
+  }
+
+  int code() const {
+    if (verify_failures > 0) return 1;
+    if (terminal_errors > 0 || app_errors > 0) {
+      std::fprintf(stderr, "fault give-up: terminal=%llu app-errors=%llu (exit 3)\n",
+                   (unsigned long long)terminal_errors, (unsigned long long)app_errors);
+      return 3;
+    }
+    return 0;
+  }
+};
+
 int run_write_mode(const CliOptions& opt) {
   const WriteWorkloadSpec& spec = *opt.write_workload;
   std::printf("write-workload: %s, %d writers, request %s, rounds %llu%s%s\n\n",
@@ -214,19 +242,11 @@ int run_write_mode(const CliOptions& opt) {
   }
   const ExperimentResult r = run_write_workload(spec);
   print_write_result("write:", r);
-  if (r.verify_failures > 0) return 1;
-  if (r.faults.terminal_errors > 0 || r.faults.app_errors > 0) {
-    std::fprintf(stderr, "fault give-up: terminal=%llu app-errors=%llu (exit 3)\n",
-                 (unsigned long long)r.faults.terminal_errors,
-                 (unsigned long long)r.faults.app_errors);
-    return 3;
-  }
-  return 0;
+  return ExitStatus{}.add(r).code();
 }
 
 /// True when the run ended with faults the stack could NOT absorb: a retry
-/// budget exhausted or a FaultError surfacing to application code. Drives
-/// the exit status (3) so scripts and CI can gate on give-up.
+/// budget exhausted or a FaultError surfacing to application code.
 bool fault_gave_up(const ExperimentResult& r) {
   return r.faults.terminal_errors > 0 || r.faults.app_errors > 0;
 }
@@ -293,7 +313,9 @@ int run_sweep_grid(const CliOptions& opt) {
     std::fprintf(stderr, "sweep: one or more scenarios failed\n");
     return 1;
   }
-  return 0;
+  ExitStatus status;
+  for (const auto& o : report.outcomes) status.add(o.result);
+  return status.code();
 }
 
 /// TraceScope output. Unbounded sinks export the whole run as Chrome
@@ -395,38 +417,29 @@ int main(int argc, char** argv) {
       std::printf("\nspeedup (observed read B/W): %sx\n",
                   fmt_double(r_on.observed_read_bw_mbs / r_off.observed_read_bw_mbs, 2)
                       .c_str());
-    } else {
-      trace::TraceSink sink(opt.trace_last);
-      trace::TraceSink* sinkp = opt.trace_path.empty() ? nullptr : &sink;
-      ExperimentResult r;
-      try {
-        r = exp.run(opt.workload, sinkp);
-      } catch (...) {
-        // The sink outlives the simulation: even when the run dies on an
-        // unrecovered fault, the trace collected so far is written out.
-        if (sinkp) dump_trace(sink, opt, /*gave_up=*/true);
-        throw;
-      }
-      print_result(opt.workload.prefetch ? "prefetch:" : "no prefetch:", r);
-      const bool gave_up = fault_gave_up(r);
-      if (sinkp) {
-        dump_trace(sink, opt, gave_up);
-        std::printf("\n%s", trace::format_metrics(
-                                trace::compute_metrics(trace::snapshot(sink)))
-                                .c_str());
-      }
-      if (r.verify_failures > 0) return 1;
-      if (gave_up) {
-        std::fprintf(stderr,
-                     "fault give-up: terminal=%llu app-errors=%llu (exit 3)\n",
-                     (unsigned long long)r.faults.terminal_errors,
-                     (unsigned long long)r.faults.app_errors);
-        return 3;
-      }
+      return ExitStatus{}.add(r_off).add(r_on).code();
     }
+    trace::TraceSink sink(opt.trace_last);
+    trace::TraceSink* sinkp = opt.trace_path.empty() ? nullptr : &sink;
+    ExperimentResult r;
+    try {
+      r = exp.run(opt.workload, sinkp);
+    } catch (...) {
+      // The sink outlives the simulation: even when the run dies on an
+      // unrecovered fault, the trace collected so far is written out.
+      if (sinkp) dump_trace(sink, opt, /*gave_up=*/true);
+      throw;
+    }
+    print_result(opt.workload.prefetch ? "prefetch:" : "no prefetch:", r);
+    if (sinkp) {
+      dump_trace(sink, opt, fault_gave_up(r));
+      std::printf("\n%s", trace::format_metrics(
+                              trace::compute_metrics(trace::snapshot(sink)))
+                              .c_str());
+    }
+    return ExitStatus{}.add(r).code();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return 0;
 }
