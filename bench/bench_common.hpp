@@ -338,11 +338,4 @@ inline workload::OpenArrivalSpec scale_spec(const ScaleRow& row, bool quick) {
   return s;
 }
 
-/// The sharded giant scenario the determinism gate reruns with different
-/// worker counts: one shard per 64 compute nodes (minimum 2).
-inline int scale_shards(const ScaleRow& row) {
-  const int s = row.ncompute / 64;
-  return s < 2 ? 2 : s;
-}
-
 }  // namespace ppfs::bench

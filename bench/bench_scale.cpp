@@ -9,15 +9,10 @@
 // service quality (p50/p95 open-arrival latency, backlog). The memory-lean
 // contract is that bytes/event stays flat as the machine and the run grow.
 //
-// Two extra sections:
-//   * deep-queue: pushes 10^5..10^7 pending events (quantized times, so tie
-//     buckets absorb most of them) through a bare EventQueue and drains it,
-//     verifying the tie-batched heap degrades gracefully at production
-//     backlog depths.
-//   * sharded: reruns the largest selected row as a node-partitioned
-//     sharded scenario with 1 worker and with --jobs workers; the merged
-//     digests must be byte-identical (the determinism contract ppfs_perf
-//     gates on).
+// A deep-queue section pushes 10^5..10^7 pending events (quantized times,
+// so tie buckets absorb most of them) through a bare EventQueue and drains
+// it, verifying the tie-batched heap degrades gracefully at production
+// backlog depths.
 //
 // --quick keeps the two small rows and the 10^5/10^6 queue depths (CI
 // smoke); the full run adds 256x64, 1024x256 and the 10^7 depth.
@@ -26,7 +21,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "exp/shard.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 
@@ -100,7 +94,6 @@ int main(int argc, char** argv) {
   std::printf("%-10s %9s %8s %12s %11s %9s %9s %9s %8s\n", "machine", "requests",
               "backlog", "events", "events/sec", "B/event", "p50", "p95", "host-s");
   JsonArray rows;
-  const bench::ScaleRow* largest = nullptr;
   bool ok = true;
   for (std::size_t i = 0; i < bench::kScaleRowCount; ++i) {
     const auto& row = bench::kScaleRows[i];
@@ -110,7 +103,6 @@ int main(int argc, char** argv) {
         workload::run_open_arrival(bench::scale_machine(row), bench::scale_spec(row, args.quick));
     const double secs = seconds_since(t0);
     const double eps = secs > 0 ? static_cast<double>(r.events_dispatched) / secs : 0;
-    largest = &row;
     std::printf("%-10s %9" PRIu64 " %8" PRIu64 " %12" PRIu64 " %11.3g %9.1f %9s %9s %8.2f\n",
                 row.name, r.completed, r.backlogged, r.events_dispatched, eps,
                 r.bytes_per_event, workload::fmt_time(r.latencies.median()).c_str(),
@@ -167,46 +159,12 @@ int main(int argc, char** argv) {
     deep.add(o);
   }
 
-  // --- sharded giant scenario: digests must not depend on --jobs ---
-  JsonObject sharded;
-  if (largest != nullptr) {
-    const int shards = bench::scale_shards(*largest);
-    const auto spec = bench::scale_spec(*largest, args.quick);
-    const auto serial =
-        exp::run_sharded_scale(bench::scale_machine(*largest), spec, shards, 1);
-    const auto parallel =
-        exp::run_sharded_scale(bench::scale_machine(*largest), spec, shards, args.jobs);
-    const bool match = serial.all_ok() && parallel.all_ok() &&
-                       serial.merged_digest == parallel.merged_digest;
-    std::printf("\nsharded %s: %d shards, merged digest %016llx (jobs=1) %s %016llx (jobs=%d)\n",
-                largest->name, shards,
-                static_cast<unsigned long long>(serial.merged_digest),
-                match ? "==" : "!=",
-                static_cast<unsigned long long>(parallel.merged_digest), args.jobs);
-    if (!match) {
-      std::fprintf(stderr, "error: sharded merged digest depends on worker count\n");
-      ok = false;
-    }
-    sharded.field("machine", largest->name)
-        .field("shards", shards)
-        .field("jobs", args.jobs)
-        .field("digest_serial", bench::fmt_digest(serial.merged_digest))
-        .field("digest_parallel", bench::fmt_digest(parallel.merged_digest))
-        .field("match", match)
-        .field("completed", serial.completed)
-        .field("events", serial.events_dispatched)
-        .field("seconds_serial", serial.seconds)
-        .field("seconds_parallel", parallel.seconds);
-  }
-
   if (!args.json_path.empty()) {
     JsonObject doc;
     doc.field("bench", "scale")
         .field("quick", args.quick)
-        .field("jobs", args.jobs)
         .raw("rows", rows.str())
-        .raw("deep_queue", deep.str())
-        .raw("sharded", sharded.str());
+        .raw("deep_queue", deep.str());
     bench::write_json_file(args.json_path, doc.str());
   }
   return ok ? 0 : 1;

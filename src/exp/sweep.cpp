@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <exception>
+#include <functional>
 #include <thread>
 
 #include "workload/report.hpp"
@@ -31,8 +33,12 @@ SweepOutcome run_one(const SweepJob& job) {
   return out;
 }
 
-}  // namespace
-
+/// The sweep's scheduling primitive: run fn(0..n-1) on up to `workers`
+/// threads via an atomic claim counter. Each index is visited exactly
+/// once; with workers <= 1 the calls happen in order on the calling
+/// thread (the serial digest baseline). fn must be safe to call
+/// concurrently for distinct indices and must not throw — per-index
+/// errors go into the slot it writes, like SweepOutcome::error does.
 void for_each_index(std::size_t n, int workers, const std::function<void(std::size_t)>& fn) {
   const int effective =
       static_cast<int>(std::min<std::size_t>(workers < 1 ? 1 : static_cast<std::size_t>(workers), n));
@@ -59,6 +65,8 @@ void for_each_index(std::size_t n, int workers, const std::function<void(std::si
   for (int w = 0; w < effective; ++w) pool.emplace_back(work);
   for (auto& t : pool) t.join();
 }
+
+}  // namespace
 
 bool SweepReport::all_ok() const noexcept {
   for (const auto& o : outcomes) {

@@ -16,24 +16,12 @@
 // so workers never contend on the hot-path allocator.
 #pragma once
 
-#include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "workload/experiment.hpp"
 
 namespace ppfs::exp {
-
-/// The sweep's scheduling primitive, exposed for other fan-out runners
-/// (ShardedScale reuses it): run fn(0..n-1) on up to `workers` threads via
-/// an atomic claim counter. Each index is visited exactly once; with
-/// workers <= 1 the calls happen in order on the calling thread (the
-/// serial digest baseline). fn must be safe to call concurrently for
-/// distinct indices and must not throw — wrap per-index errors into the
-/// slot it writes, like SweepOutcome::error does.
-void for_each_index(std::size_t n, int workers,
-                    const std::function<void(std::size_t)>& fn);
 
 /// One scenario of a sweep: a label for reporting plus the full machine
 /// and workload description.

@@ -8,8 +8,8 @@
 #include <stdexcept>
 
 #include "fault/retry.hpp"
-#include "sim/channel.hpp"
 #include "sim/check/audit.hpp"
+#include "sim/event.hpp"
 #include "sim/inline_vec.hpp"
 #include "sim/when_all.hpp"
 #include "trace/span.hpp"

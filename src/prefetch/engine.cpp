@@ -8,6 +8,27 @@
 
 namespace ppfs::prefetch {
 
+void PrefetchStats::merge(const PrefetchStats& o) {
+  issued += o.issued;
+  hits_ready += o.hits_ready;
+  hits_in_flight += o.hits_in_flight;
+  misses += o.misses;
+  stale_discarded += o.stale_discarded;
+  wasted += o.wasted;
+  shed += o.shed;
+  epoch_discarded += o.epoch_discarded;
+  fault_pauses += o.fault_pauses;
+  fault_skips += o.fault_skips;
+  bytes_prefetched += o.bytes_prefetched;
+  bytes_served += o.bytes_served;
+  wait_time += o.wait_time;
+  depth_ramp_ups += o.depth_ramp_ups;
+  depth_ramp_downs += o.depth_ramp_downs;
+  depth_collapses += o.depth_collapses;
+  wasted_bytes += o.wasted_bytes;
+  for (std::size_t b = 0; b < kDepthHistBuckets; ++b) depth_hist[b] += o.depth_hist[b];
+}
+
 PrefetchEngine::PrefetchEngine(pfs::PfsClient& client, PrefetchConfig cfg)
     : client_(client), cfg_(cfg), predictor_(make_predictor(cfg.predictor)) {
   if (cfg_.adaptive_depth) {
@@ -97,28 +118,14 @@ void PrefetchEngine::depth_feedback(int fd, bool hit) {
 
 std::size_t PrefetchEngine::resident_buffers(int fd) const {
   auto it = lists_.find(fd);
-  return it == lists_.end() ? 0 : it->second.list.size();
-}
-
-bool PrefetchEngine::throttled(int fd) const {
-  auto it = lists_.find(fd);
-  return it != lists_.end() && it->second.throttled;
-}
-
-void PrefetchEngine::note_useless(FdState& st, std::uint64_t count) {
-  if (!cfg_.adaptive || count == 0) return;
-  st.useless_streak += count;
-  if (st.useless_streak >= cfg_.adaptive_cutoff && !st.throttled) {
-    st.throttled = true;
-    st.reads_since_throttle = 0;
-  }
+  return it == lists_.end() ? 0 : it->second.size();
 }
 
 void PrefetchEngine::shed_all() {
   auto* a = auditor();
-  for (auto& [fd, st] : lists_) {
+  for (auto& [fd, list] : lists_) {
     (void)fd;
-    for (auto& buf : st.list.drain()) {
+    for (auto& buf : list.drain()) {
       ++stats_.shed;
       stats_.wasted_bytes += buf->length;
       trace_instant(trace::code::kPrefetchShed, buf->offset, buf->length);
@@ -131,8 +138,8 @@ void PrefetchEngine::shed_all() {
     // Adaptation collapses with the shed: deep readahead must not resume
     // at full depth into a recovering system. (std::map iteration order is
     // fd order — deterministic.)
-    for (auto& [fd, st] : lists_) {
-      (void)st;
+    for (auto& [fd, list] : lists_) {
+      (void)list;
       const std::size_t before = controller_->depth(fd);
       controller_->on_fault(fd);
       if (controller_->depth(fd) != before) note_depth(fd, controller_->depth(fd));
@@ -189,8 +196,7 @@ sim::Task<std::optional<ByteCount>> PrefetchEngine::try_serve(int fd, FileOffset
                                                               ByteCount len,
                                                               std::span<std::byte> out) {
   if (!cfg_.enabled) co_return std::nullopt;
-  FdState& st = lists_[fd];
-  auto& list = st.list;
+  auto& list = lists_[fd];
 
   auto buf = list.find(off, len);
   if (buf && buf->epoch != client_.filesystem().topology_epoch()) {
@@ -219,7 +225,6 @@ sim::Task<std::optional<ByteCount>> PrefetchEngine::try_serve(int fd, FileOffset
       if (auto* a = auditor()) a->on_buffer_discarded(this);
       ++dropped;
     }
-    note_useless(st, dropped);
     if (controller_ && dropped) controller_->on_wasted(fd, dropped);
     ++stats_.misses;
     trace_instant(trace::code::kPrefetchMiss, off, len);
@@ -230,9 +235,6 @@ sim::Task<std::optional<ByteCount>> PrefetchEngine::try_serve(int fd, FileOffset
   list.remove(buf);
   occupancy_changed(-1, -static_cast<std::int64_t>(buf->length));
   if (auto* a = auditor()) a->on_buffer_consumed(this);
-  // A hit proves the prediction stream is good again.
-  st.useless_streak = 0;
-  st.throttled = false;
   if (buf->in_flight()) {
     // Miss-when-presented but mostly done: wait out the remainder.
     ++stats_.hits_in_flight;
@@ -267,20 +269,9 @@ sim::Task<std::optional<ByteCount>> PrefetchEngine::try_serve(int fd, FileOffset
 sim::Task<void> PrefetchEngine::after_read(int fd, FileOffset off, ByteCount len) {
   if (!cfg_.enabled || len == 0) co_return;
   if (fault_gate()) co_return;
-  FdState& st = lists_[fd];
-  auto& list = st.list;
+  auto& list = lists_[fd];
 
-  std::size_t depth = controller_ ? controller_->depth(fd) : cfg_.depth;
-  if (st.throttled) {
-    // Probe mode: one single-block prefetch every probe period.
-    ++st.reads_since_throttle;
-    if (st.reads_since_throttle % cfg_.adaptive_probe_period != 0) {
-      ++stats_.throttled_skips;
-      co_return;
-    }
-    depth = 1;
-  }
-  depth = std::min(depth, kMaxPrefetchDepth);
+  const std::size_t depth = std::min(current_depth(fd), kMaxPrefetchDepth);
 
   // Learning and prediction are split so the predict pass can fill a stack
   // buffer: the per-read decision path allocates nothing.
@@ -305,8 +296,9 @@ sim::Task<void> PrefetchEngine::after_read(int fd, FileOffset off, ByteCount len
     if (list.find(p, len)) continue;  // already buffered or in flight
     if (list.size() >= cfg_.max_buffers_per_file) {
       // Memory cap. Evict the oldest buffer only if it is no longer
-      // predicted (a dead prefetch — feeds the adaptive throttle); if
-      // everything resident is still in the prediction window, stop.
+      // predicted (a dead prefetch — fed back to the adaptive depth
+      // controller); if everything resident is still in the prediction
+      // window, stop.
       auto victim = list.oldest();
       if (!victim || is_target(victim)) break;
       list.remove(victim);
@@ -315,9 +307,7 @@ sim::Task<void> PrefetchEngine::after_read(int fd, FileOffset off, ByteCount len
       retire(victim);
       ++stats_.wasted;
       if (auto* a = auditor()) a->on_buffer_discarded(this);
-      note_useless(st, 1);
       if (controller_) controller_->on_wasted(fd, 1);
-      if (st.throttled) break;  // throttle tripped mid-loop: stop issuing
     }
 
     // Issue cost on the user thread: ART setup + prefetch buffer
@@ -349,7 +339,7 @@ void PrefetchEngine::on_close(int fd) {
   auto it = lists_.find(fd);
   if (it == lists_.end()) return;
   auto* a = auditor();
-  for (auto& buf : it->second.list.drain()) {
+  for (auto& buf : it->second.drain()) {
     ++stats_.wasted;
     stats_.wasted_bytes += buf->length;
     occupancy_changed(-1, -static_cast<std::int64_t>(buf->length));
@@ -368,9 +358,9 @@ void PrefetchEngine::on_close(int fd) {
   // balance exactly: allocated == consumed + discarded + freed-at-close.
   if (a) {
     bool resident = false;
-    for (const auto& [ofd, st] : lists_) {
+    for (const auto& [ofd, list] : lists_) {
       (void)ofd;
-      if (!st.list.empty()) resident = true;
+      if (!list.empty()) resident = true;
     }
     if (!resident) {
       a->check_buffer_conservation(client_.machine().simulation().now(), this);

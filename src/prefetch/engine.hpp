@@ -44,15 +44,6 @@ struct PrefetchConfig {
   std::size_t max_buffers_per_file = 16;
   PredictorKind predictor = PredictorKind::kModeAware;
 
-  /// Adaptive throttling (library extension, paper future work): after
-  /// `adaptive_cutoff` consecutive useless prefetches (discarded stale or
-  /// freed unconsumed), stop issuing; every `adaptive_probe_period` reads
-  /// issue one probe, and a probe hit re-enables full prefetching. Guards
-  /// against unpredictable access patterns wasting disk time.
-  bool adaptive = false;
-  std::size_t adaptive_cutoff = 4;
-  std::size_t adaptive_probe_period = 8;
-
   /// Fault-aware degradation: when the client's RPC envelope reports fault
   /// activity (or an I/O daemon is down), the engine sheds every resident
   /// prefetch buffer and pauses speculation; it resumes after this many
@@ -81,7 +72,6 @@ struct PrefetchStats {
   std::uint64_t misses = 0;          // no matching buffer
   std::uint64_t stale_discarded = 0; // overlapping-but-wrong buffers dropped
   std::uint64_t wasted = 0;          // never-consumed buffers freed at close
-  std::uint64_t throttled_skips = 0; // prefetches suppressed by the throttle
   std::uint64_t shed = 0;            // buffers dropped on fault activity
   std::uint64_t epoch_discarded = 0; // dead-epoch buffers refused at serve time
   std::uint64_t fault_pauses = 0;    // times speculation was paused by faults
@@ -102,6 +92,11 @@ struct PrefetchStats {
   /// bucket k counts calls made at depth k, the last bucket >= its index.
   static constexpr std::size_t kDepthHistBuckets = 9;
   std::array<std::uint64_t, kDepthHistBuckets> depth_hist{};
+
+  /// Add another engine's counters into this one: every field is a sum,
+  /// the depth histogram bucket by bucket. Experiment::run and
+  /// replay_trace fold their per-rank engines into one run total with it.
+  void merge(const PrefetchStats& o);
 
   double hit_ratio() const {
     const auto total = hits_ready + hits_in_flight + misses;
@@ -135,8 +130,6 @@ class PrefetchEngine final : public pfs::Prefetcher {
   const PrefetchConfig& config() const noexcept { return cfg_; }
   /// Buffers currently resident for an fd (0 if unknown fd).
   std::size_t resident_buffers(int fd) const;
-  /// True if the adaptive throttle has suppressed prefetching on this fd.
-  bool throttled(int fd) const;
   /// True while fault activity has speculation paused.
   bool fault_paused() const noexcept { return fault_paused_; }
   /// Readahead depth the next after_read on this fd will use (the fixed
@@ -153,14 +146,6 @@ class PrefetchEngine final : public pfs::Prefetcher {
   void retire(PrefetchBufferList::Handle buf);
   sim::Task<void> reap(PrefetchBufferList::Handle buf);
 
-  struct FdState {
-    PrefetchBufferList list;
-    std::size_t useless_streak = 0;
-    bool throttled = false;
-    std::uint64_t reads_since_throttle = 0;
-  };
-
-  void note_useless(FdState& st, std::uint64_t count);
   /// Feed a serve outcome to the adaptive controller and trace/record any
   /// resulting depth transition. No-op when adaptive depth is off.
   void depth_feedback(int fd, bool hit);
@@ -187,7 +172,7 @@ class PrefetchEngine final : public pfs::Prefetcher {
   PrefetchConfig cfg_;
   std::unique_ptr<Predictor> predictor_;
   std::unique_ptr<AdaptiveController> controller_;  // non-null iff adaptive_depth
-  std::map<int, FdState> lists_;
+  std::map<int, PrefetchBufferList> lists_;
   PrefetchStats stats_;
   std::uint64_t last_fault_signal_ = 0;  // client RPC fault counter last seen
   bool fault_paused_ = false;

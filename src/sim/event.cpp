@@ -1,5 +1,6 @@
 #include "sim/event.hpp"
 
+#include <memory>
 #include <utility>
 
 namespace ppfs::sim {
@@ -23,10 +24,27 @@ void Event::on_set(SmallFn cb) {
   }
 }
 
-void Condition::notify_all() {
-  auto waiters = std::move(waiters_);
-  waiters_.clear();
-  for (auto h : waiters) sim_.schedule_at(sim_.now(), h);
+Task<bool> wait_with_timeout(Simulation& sim, Event& ev, SimTime dt) {
+  if (ev.is_set()) co_return true;
+  struct State {
+    explicit State(Simulation& s) : either(s) {}
+    Event either;
+    bool timed_out = false;
+  };
+  auto state = std::make_shared<State>(sim);
+
+  sim.call_at(sim.now() + dt, [state] {
+    if (!state->either.is_set()) {
+      state->timed_out = true;
+      state->either.set();
+    }
+  });
+  ev.on_set([state] {
+    if (!state->either.is_set()) state->either.set();
+  });
+
+  co_await state->either.wait();
+  co_return !state->timed_out;
 }
 
 void Barrier::release_all() {

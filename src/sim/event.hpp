@@ -3,9 +3,7 @@
 // Event      — one-shot latch. wait() returns immediately once set; set()
 //              wakes all current waiters. reset() re-arms it. Models I/O
 //              completion notifications (the Paragon ART completion flag).
-// Condition  — broadcast signal with no memory. wait() always suspends
-//              until the *next* notify_all(). Models "state changed, go
-//              re-check" wakeups.
+//              wait_with_timeout() bounds a wait on one by a deadline.
 // Barrier    — N-party synchronization. arrive_and_wait() suspends until
 //              all N parties have arrived, then releases everyone and
 //              re-arms for the next round. Models the gang synchronization
@@ -22,6 +20,7 @@
 
 #include "sim/simulation.hpp"
 #include "sim/small_fn.hpp"
+#include "sim/task.hpp"
 #include "sim/types.hpp"
 
 namespace ppfs::sim {
@@ -66,32 +65,11 @@ class Event {
   std::vector<SmallFn> callbacks_;
 };
 
-class Condition {
- public:
-  explicit Condition(Simulation& sim) : sim_(sim) {}
-  Condition(const Condition&) = delete;
-  Condition& operator=(const Condition&) = delete;
-
-  /// Wake everything currently waiting; future waiters wait for the next
-  /// notification.
-  void notify_all();
-
-  auto wait() {
-    struct Awaiter {
-      Condition& cv;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) { cv.waiters_.push_back(h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  std::size_t waiter_count() const noexcept { return waiters_.size(); }
-
- private:
-  Simulation& sim_;
-  std::vector<std::coroutine_handle<>> waiters_;
-};
+/// Wait for `ev` with a deadline. Resolves true if the event fired, false
+/// on timeout. Entirely callback-driven: the loser of the race is a plain
+/// queue callback holding the shared state, never a parked process, so
+/// live_processes() is unaffected even when the event never fires.
+Task<bool> wait_with_timeout(Simulation& sim, Event& ev, SimTime dt);
 
 class Barrier {
  public:

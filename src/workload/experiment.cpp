@@ -334,27 +334,7 @@ ExperimentResult Experiment::run(const WorkloadSpec& w, trace::TraceSink* sink,
     res.max_node_read_time = std::max(res.max_node_read_time, rt);
     if (engines[r]) {
       const auto& st = engines[r]->stats();
-      res.prefetch.issued += st.issued;
-      res.prefetch.hits_ready += st.hits_ready;
-      res.prefetch.hits_in_flight += st.hits_in_flight;
-      res.prefetch.misses += st.misses;
-      res.prefetch.stale_discarded += st.stale_discarded;
-      res.prefetch.wasted += st.wasted;
-      res.prefetch.throttled_skips += st.throttled_skips;
-      res.prefetch.bytes_prefetched += st.bytes_prefetched;
-      res.prefetch.bytes_served += st.bytes_served;
-      res.prefetch.wait_time += st.wait_time;
-      res.prefetch.shed += st.shed;
-      res.prefetch.epoch_discarded += st.epoch_discarded;
-      res.prefetch.fault_pauses += st.fault_pauses;
-      res.prefetch.fault_skips += st.fault_skips;
-      res.prefetch.depth_ramp_ups += st.depth_ramp_ups;
-      res.prefetch.depth_ramp_downs += st.depth_ramp_downs;
-      res.prefetch.depth_collapses += st.depth_collapses;
-      res.prefetch.wasted_bytes += st.wasted_bytes;
-      for (std::size_t b = 0; b < prefetch::PrefetchStats::kDepthHistBuckets; ++b) {
-        res.prefetch.depth_hist[b] += st.depth_hist[b];
-      }
+      res.prefetch.merge(st);
       res.faults.shed_prefetches += st.shed;
       res.faults.stale_epoch_discards += st.epoch_discarded;
     }

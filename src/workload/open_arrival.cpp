@@ -178,7 +178,8 @@ OpenArrivalResult run_open_arrival(const MachineSpec& machine,
   }
 
   // --- assign tenants and per-client random streams (serial, so the
-  // assignment is identical however the surrounding sweep is sharded) ---
+  // assignment is identical however many workers run the surrounding
+  // sweep) ---
   sim::Rng master(spec.seed);
   const auto cdf = sim::Rng::make_zipf_cdf(static_cast<std::size_t>(spec.tenants),
                                            spec.tenant_skew);

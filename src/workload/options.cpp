@@ -135,7 +135,6 @@ the paper's metrics.
   --delay <seconds>     compute delay between reads         (default 0)
   --prefetch            enable the client prefetch engine
   --depth <n>           prefetch depth                      (default 1)
-  --adaptive            enable the adaptive prefetch throttle
   --prefetch-adaptive   AdaptaFetch: ensemble predictor + feedback-driven
                         readahead depth (implies --prefetch; deterministic,
                         see --prefetch-seed)
@@ -259,8 +258,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       opt.workload.prefetch_cfg.depth =
           static_cast<std::size_t>(parse_count(a, need_value(i, a), 1));
       ++i;
-    } else if (a == "--adaptive") {
-      opt.workload.prefetch_cfg.adaptive = true;
     } else if (a == "--prefetch-adaptive") {
       opt.workload.prefetch = true;
       opt.workload.prefetch_cfg.adaptive_depth = true;

@@ -234,6 +234,7 @@ TraceReplayResult replay_trace(const MachineSpec& mspec, const AccessTrace& trac
   hw::MachineConfig mcfg = hw::MachineConfig::paragon(mspec.ncompute, mspec.nio, mspec.raid);
   mcfg.compute_cpu = mspec.compute_cpu;
   mcfg.io_cpu = mspec.io_cpu;
+  mcfg.mesh.mtu = mspec.mesh_mtu;
   hw::Machine machine(sim, mcfg);
   pfs::PfsFileSystem fs(machine, mspec.pfs);
   fs.create("trace", fs.default_attrs());
@@ -291,23 +292,13 @@ TraceReplayResult replay_trace(const MachineSpec& mspec, const AccessTrace& trac
     t1 = std::max(t1, outcomes[r].end);
     res.max_node_read_time = std::max(
         res.max_node_read_time, clients[r]->stats().read_time - base_read_time[r]);
-    if (prefetch_on) {
-      const auto& st = engines[r]->stats();
-      res.prefetch.issued += st.issued;
-      res.prefetch.hits_ready += st.hits_ready;
-      res.prefetch.hits_in_flight += st.hits_in_flight;
-      res.prefetch.misses += st.misses;
-      res.prefetch.stale_discarded += st.stale_discarded;
-      res.prefetch.wasted += st.wasted;
-      res.prefetch.throttled_skips += st.throttled_skips;
-      res.prefetch.bytes_prefetched += st.bytes_prefetched;
-      res.prefetch.bytes_served += st.bytes_served;
-      res.prefetch.wait_time += st.wait_time;
-    }
+    if (prefetch_on) res.prefetch.merge(engines[r]->stats());
   }
   res.wall_elapsed = t1 - t0;
   res.observed_read_bw_mbs =
       sim::megabytes_per_second(res.total_bytes, res.max_node_read_time);
+  res.digest = sim.digest();
+  res.events_dispatched = sim.events_dispatched();
   return res;
 }
 

@@ -62,8 +62,11 @@ struct TraceReplayResult {
   sim::SimTime wall_elapsed = 0;
   sim::SimTime max_node_read_time = 0;
   double observed_read_bw_mbs = 0;
-  prefetch::PrefetchStats prefetch;
+  prefetch::PrefetchStats prefetch;  // summed across ranks (zero w/o engine)
   std::uint64_t verify_failures = 0;
+  /// SimCheck determinism digest of the whole replay (populate + replay).
+  std::uint64_t digest = 0;
+  std::uint64_t events_dispatched = 0;
 };
 
 /// Replay a trace on a fresh machine. The backing PFS file is created and

@@ -308,6 +308,9 @@ ExperimentResult run_rounds(const WriteWorkloadSpec& spec) {
   res.top_links = machine.mesh().top_busy_links(5);
   if (auto* a = sim.auditor()) {
     a->check_token_conservation(sim.now(), fs.tokens().write_granted_bytes());
+    // With the run drained, every manifested fault was healed by retry,
+    // repaired by reconstruction, or is terminal.
+    a->check_fault_conservation(sim.now());
   }
   res.digest = sim.digest();
   res.events_dispatched = sim.events_dispatched();

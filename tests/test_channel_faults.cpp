@@ -1,15 +1,14 @@
 // ppfs-lint: allow-file(ref-across-await) test idiom: coroutine referents are stack locals and the test blocks in sim.run()/run_task() before they die
-// Tests for Channel<T>, wait_with_timeout, disk fault injection, and
-// whole-stack behavior under a degraded I/O node.
+// Tests for wait_with_timeout, disk fault injection, and whole-stack
+// behavior under a degraded I/O node.
 #include <gtest/gtest.h>
 
-#include <optional>
-#include <string>
+#include <stdexcept>
 #include <vector>
 
 #include "hw/disk.hpp"
 #include "hw/machine.hpp"
-#include "sim/channel.hpp"
+#include "sim/event.hpp"
 #include "sim/simulation.hpp"
 #include "test_util.hpp"
 #include "workload/experiment.hpp"
@@ -17,103 +16,10 @@
 namespace ppfs {
 namespace {
 
-using sim::Channel;
 using sim::Event;
 using sim::Simulation;
 using sim::SimTime;
 using sim::Task;
-
-TEST(Channel, SendReceiveInOrder) {
-  Simulation sim;
-  Channel<int> ch(sim, 4);
-  std::vector<int> received;
-  sim.spawn([](Channel<int>& c) -> Task<void> {
-    for (int i = 0; i < 5; ++i) co_await c.send(i);
-    c.close();
-  }(ch));
-  sim.spawn([](Channel<int>& c, std::vector<int>& out) -> Task<void> {
-    while (auto v = co_await c.receive()) out.push_back(*v);
-  }(ch, received));
-  sim.run();
-  EXPECT_EQ(received, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(sim.live_processes(), 0u);
-}
-
-TEST(Channel, SenderBlocksWhenFull) {
-  Simulation sim;
-  Channel<int> ch(sim, 1);
-  std::vector<SimTime> send_done;
-  sim.spawn([](Simulation& s, Channel<int>& c, std::vector<SimTime>& out) -> Task<void> {
-    co_await c.send(1);   // fits
-    out.push_back(s.now());
-    co_await c.send(2);   // blocks until consumer drains
-    out.push_back(s.now());
-  }(sim, ch, send_done));
-  sim.spawn([](Simulation& s, Channel<int>& c) -> Task<void> {
-    co_await s.delay(3.0);
-    (void)co_await c.receive();
-    (void)co_await c.receive();
-  }(sim, ch));
-  sim.run();
-  ASSERT_EQ(send_done.size(), 2u);
-  EXPECT_DOUBLE_EQ(send_done[0], 0.0);
-  EXPECT_DOUBLE_EQ(send_done[1], 3.0);
-}
-
-TEST(Channel, ReceiverBlocksUntilSend) {
-  Simulation sim;
-  Channel<std::string> ch(sim, 2);
-  std::optional<std::string> got;
-  SimTime when = -1;
-  sim.spawn([](Simulation& s, Channel<std::string>& c, std::optional<std::string>& out,
-               SimTime& t) -> Task<void> {
-    out = co_await c.receive();
-    t = s.now();
-  }(sim, ch, got, when));
-  sim.call_at(2.0, [&] { EXPECT_TRUE(ch.try_send("hello")); });
-  sim.run();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, "hello");
-  EXPECT_DOUBLE_EQ(when, 2.0);
-}
-
-TEST(Channel, CloseDrainsThenSignalsEnd) {
-  Simulation sim;
-  Channel<int> ch(sim, 4);
-  EXPECT_TRUE(ch.try_send(7));
-  ch.close();
-  EXPECT_FALSE(ch.try_send(8));  // closed
-  std::vector<std::optional<int>> got;
-  sim.spawn([](Channel<int>& c, std::vector<std::optional<int>>& out) -> Task<void> {
-    out.push_back(co_await c.receive());  // drains the 7
-    out.push_back(co_await c.receive());  // nullopt: closed + empty
-  }(ch, got));
-  sim.run();
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], std::optional<int>(7));
-  EXPECT_EQ(got[1], std::nullopt);
-}
-
-TEST(Channel, SendOnClosedThrows) {
-  Simulation sim;
-  Channel<int> ch(sim, 1);
-  ch.close();
-  bool threw = false;
-  sim.spawn([](Channel<int>& c, bool& flag) -> Task<void> {
-    try {
-      co_await c.send(1);
-    } catch (const std::runtime_error&) {
-      flag = true;
-    }
-  }(ch, threw));
-  sim.run();
-  EXPECT_TRUE(threw);
-}
-
-TEST(Channel, ZeroCapacityRejected) {
-  Simulation sim;
-  EXPECT_THROW(Channel<int>(sim, 0), std::invalid_argument);
-}
 
 TEST(WaitWithTimeout, EventFirstReturnsTrue) {
   Simulation sim;

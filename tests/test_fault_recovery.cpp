@@ -10,7 +10,6 @@
 #include "fault/error.hpp"
 #include "fault/plan.hpp"
 #include "fault/retry.hpp"
-#include "sim/channel.hpp"
 #include "sim/check/audit.hpp"
 #include "sim/event.hpp"
 #include "sim/random.hpp"

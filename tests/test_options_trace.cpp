@@ -55,7 +55,7 @@ TEST(ParseCli, DefaultsAndBasics) {
 
 TEST(ParseCli, FullConfiguration) {
   auto opt = parse_cli({"--mode", "M_ASYNC", "--request", "256K", "--file", "32M",
-                        "--delay", "0.05", "--prefetch", "--depth", "3", "--adaptive",
+                        "--delay", "0.05", "--prefetch", "--depth", "3", "--prefetch-adaptive",
                         "--ncompute", "4", "--nio", "2", "--scsi16", "--elevator",
                         "--buffered", "--readahead", "2", "--own-region", "--verify",
                         "--compare"});
@@ -65,7 +65,7 @@ TEST(ParseCli, FullConfiguration) {
   EXPECT_DOUBLE_EQ(opt.workload.compute_delay, 0.05);
   EXPECT_TRUE(opt.workload.prefetch);
   EXPECT_EQ(opt.workload.prefetch_cfg.depth, 3u);
-  EXPECT_TRUE(opt.workload.prefetch_cfg.adaptive);
+  EXPECT_TRUE(opt.workload.prefetch_cfg.adaptive_depth);
   EXPECT_EQ(opt.machine.ncompute, 4);
   EXPECT_EQ(opt.machine.nio, 2);
   EXPECT_DOUBLE_EQ(opt.machine.raid.bus_bandwidth, 16.0e6);
@@ -250,6 +250,40 @@ TEST(TraceReplay, Deterministic) {
   const auto b = replay_trace(m, trace, true);
   EXPECT_DOUBLE_EQ(a.wall_elapsed, b.wall_elapsed);
   EXPECT_EQ(a.prefetch.hits_ready, b.prefetch.hits_ready);
+}
+
+TEST(TraceReplay, MeshMtuReachesTheMachine) {
+  // Bus-bound, so bandwidth is the same either way; only the schedule,
+  // hence the digest, shows whether 512 KB messages were segmented.
+  const MachineSpec circuit;
+  MachineSpec segmented;
+  segmented.mesh_mtu = 4 * 1024;
+  const auto trace = AccessTrace::sequential(pfs::IoMode::kRecord, 8, 16, 512 * 1024, 0);
+  const auto a = replay_trace(circuit, trace, false);
+  const auto b = replay_trace(circuit, trace, false);
+  const auto c = replay_trace(segmented, trace, false);
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
+  EXPECT_NE(a.digest, c.digest);
+  EXPECT_NE(a.events_dispatched, c.events_dispatched);
+}
+
+TEST(TraceReplay, SumsEveryPrefetchField) {
+  const MachineSpec m;
+  const auto trace = AccessTrace::strided(8, 32, 64 * 1024, 256 * 1024, 0.02);
+  prefetch::PrefetchConfig cfg;
+  cfg.adaptive_depth = true;
+  cfg.predictor = prefetch::PredictorKind::kEnsemble;
+  const auto res = replay_trace(m, trace, true, cfg, /*verify=*/true);
+  EXPECT_EQ(res.verify_failures, 0u);
+  // Fault-free: every read lands in one depth-histogram bucket.
+  std::uint64_t decided = 0;
+  for (const std::uint64_t n : res.prefetch.depth_hist) decided += n;
+  EXPECT_EQ(res.reads, 256u);
+  EXPECT_EQ(decided, res.reads);
+  // AdaptaFetch's own counters reach the replay result too.
+  EXPECT_EQ(res.prefetch.depth_ramp_ups, 24u);
+  EXPECT_EQ(res.prefetch.wasted_bytes, 3670016u);
 }
 
 TEST(TraceReplay, RejectsBadInputs) {

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,16 @@ TEST(PatternEquivalence, VerifyReportsTheFirstOfSeveralMismatches) {
 }
 
 // ---- Every compiled kernel ------------------------------------------------
+
+}  // namespace
+
+namespace detail {
+// ctest names each parameterised case after this print. gtest's default is a
+// byte dump of the kernel's pointers, which ASLR moves on every run.
+void PrintTo(const PatternKernel& k, std::ostream* os) { *os << k.name; }
+}  // namespace detail
+
+namespace {
 
 using detail::PatternKernel;
 

@@ -3,10 +3,9 @@
 // Three layers under test: the ShardArena per-node state container (fixed
 // capacity, address pinning, construction-order indexing), the
 // StreamingQuantiles fixed-footprint latency sketch, and the open-arrival
-// workload plus its node-partitioned sharded runner. The load-bearing
-// properties are determinism (same spec => same digest; sharded merged
-// digest independent of --jobs) and bounded footprint (the kernel's
-// bytes/event stays under a fixed ceiling however long the run is).
+// workload. The load-bearing properties are determinism (same spec => same
+// digest) and bounded footprint (the kernel's bytes/event stays under a
+// fixed ceiling however long the run is).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/shard.hpp"
 #include "hw/machine.hpp"
 #include "sim/shard.hpp"
 #include "sim/stats.hpp"
@@ -23,7 +21,6 @@
 
 namespace {
 
-using ppfs::exp::run_sharded_scale;
 using ppfs::sim::ShardArena;
 using ppfs::sim::StreamingQuantiles;
 using ppfs::workload::MachineSpec;
@@ -226,43 +223,6 @@ TEST(ScaleSmoke, ScaledMeshIsNearSquare) {
   // paragon() stays digest-frozen at width 4.
   const auto legacy = ppfs::hw::MachineConfig::paragon(8, 8);
   EXPECT_EQ(legacy.mesh.width, 4);
-}
-
-// --- sharded giant scenario ---
-
-TEST(ShardedScale, MergedDigestIndependentOfJobs) {
-  MachineSpec m;
-  m.ncompute = 48;
-  m.nio = 12;
-  OpenArrivalSpec s = smoke_spec();
-  s.tenants = 3;
-  const auto serial = run_sharded_scale(m, s, 4, 1);
-  const auto parallel = run_sharded_scale(m, s, 4, 4);
-  ASSERT_TRUE(serial.all_ok());
-  ASSERT_TRUE(parallel.all_ok());
-  EXPECT_EQ(serial.merged_digest, parallel.merged_digest);
-  EXPECT_EQ(serial.issued, parallel.issued);
-  EXPECT_EQ(serial.completed, parallel.completed);
-  EXPECT_EQ(serial.events_dispatched, parallel.events_dispatched);
-  // Partition covers the machine exactly.
-  int nc = 0, nio = 0;
-  for (const auto& sh : serial.shards) {
-    nc += sh.ncompute;
-    nio += sh.nio;
-  }
-  EXPECT_EQ(nc, m.ncompute);
-  EXPECT_EQ(nio, m.nio);
-  // Every client on every shard ran its full arrival schedule.
-  EXPECT_EQ(serial.issued,
-            static_cast<std::uint64_t>(m.ncompute) * s.requests_per_client);
-}
-
-TEST(ShardedScale, RejectsImpossiblePartitions) {
-  MachineSpec m;
-  m.ncompute = 4;
-  m.nio = 2;
-  EXPECT_THROW(run_sharded_scale(m, smoke_spec(), 3, 1), std::invalid_argument);
-  EXPECT_THROW(run_sharded_scale(m, smoke_spec(), 0, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // ppfs-lint: allow-file(ref-across-await) test idiom: coroutine referents are stack locals and the test blocks in sim.run()/run_task() before they die
 // Unit tests for the discrete-event kernel: Simulation, Task, Event,
-// Condition, Barrier, Resource, when_all, Rng determinism.
+// Barrier, Resource, when_all, Rng determinism.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -242,27 +242,6 @@ TEST(Event, ResetReArms) {
   sim.call_at(1.0, [&] { ev.set(); });
   sim.run();
   EXPECT_EQ(woken, 1);
-}
-
-TEST(Condition, WaitersOnlyWakeOnNextNotify) {
-  Simulation sim;
-  Condition cv(sim);
-  std::vector<SimTime> wakes;
-  auto waiter = [](Condition& c, Simulation& s, std::vector<SimTime>& w) -> Task<void> {
-    co_await c.wait();
-    w.push_back(s.now());
-  };
-  sim.spawn(waiter(cv, sim, wakes));
-  sim.call_at(1.0, [&] { cv.notify_all(); });
-  sim.call_at(2.0, [&] {
-    // A new waiter after the first notify must wait for another notify.
-    sim.spawn(waiter(cv, sim, wakes));
-  });
-  sim.call_at(3.0, [&] { cv.notify_all(); });
-  sim.run();
-  ASSERT_EQ(wakes.size(), 2u);
-  EXPECT_DOUBLE_EQ(wakes[0], 1.0);
-  EXPECT_DOUBLE_EQ(wakes[1], 3.0);
 }
 
 TEST(Barrier, ReleasesWhenAllArrive) {

@@ -1,7 +1,7 @@
 // ppfs_perf: the wall-clock perf harness behind the BENCH_*.json
 // artifacts and the CI perf-smoke gate.
 //
-// Two sections:
+// Sections:
 //
 //  * kernel — times the simulator substrate with the exact loop shapes of
 //    bench_kernel_micro's BM_EventQueueThroughput and BM_CoroutineDelayHops
@@ -39,9 +39,8 @@
 //    multi-tenant workload, 8x8 up to 1024x256 with --quick skipping the
 //    production rows), gates a host events/sec floor
 //    (--min-scale-events-per-sec) and a kernel bytes/event ceiling
-//    (--max-scale-bytes-per-event), reruns the largest row as a
-//    node-partitioned sharded scenario with 1 and --jobs workers asserting
-//    merged-digest identity, and writes BENCH_scale.json.
+//    (--max-scale-bytes-per-event), checks every request of every row
+//    completed, and writes BENCH_scale.json.
 //
 //  * write — runs the bench_write_scaling checkpoint scenario (TokenWrite
 //    byte-range write tokens + client write-back caches) with 1 and 8
@@ -66,7 +65,6 @@
 #include <vector>
 
 #include "../bench/bench_common.hpp"
-#include "exp/shard.hpp"
 #include "exp/sweep.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
@@ -552,12 +550,9 @@ int main(int argc, char** argv) {
   // events/sec floor (--min-scale-events-per-sec) and a kernel bytes/event
   // ceiling (--max-scale-bytes-per-event, the memory-lean contract: kernel
   // footprint amortized per dispatched event must stay bounded however big
-  // the machine gets) — plus the sharded determinism contract: the largest
-  // row, node-partitioned into shards, must produce the same merged digest
-  // with 1 worker and with --jobs workers.
+  // the machine gets) — plus completion: every issued request finishes.
   bool scale_ok = true;
   JsonArray scale_rows;
-  const ScaleRow* scale_largest = nullptr;
   for (std::size_t i = 0; i < kScaleRowCount; ++i) {
     const ScaleRow& row = kScaleRows[i];
     if (args.quick && row.full_only) continue;
@@ -572,7 +567,6 @@ int main(int argc, char** argv) {
     }
     const double secs = now_seconds() - t0;
     const double eps = secs > 0 ? static_cast<double>(r.events_dispatched) / secs : 0;
-    scale_largest = &row;
     std::printf("scale   %-10s %9llu reads  %9.0f events/s  %6.1f B/event  p95 %.3fs\n",
                 row.name, (unsigned long long)r.completed, eps, r.bytes_per_event,
                 r.latencies.percentile(95));
@@ -612,40 +606,6 @@ int main(int argc, char** argv) {
     scale_rows.add(o);
   }
 
-  bool scale_sharded_match = true;
-  JsonObject scale_sharded;
-  if (scale_largest != nullptr) {
-    const int shards = scale_shards(*scale_largest);
-    const auto spec = scale_spec(*scale_largest, args.quick);
-    const auto sh_serial =
-        exp::run_sharded_scale(scale_machine(*scale_largest), spec, shards, 1);
-    const auto sh_parallel =
-        exp::run_sharded_scale(scale_machine(*scale_largest), spec, shards, args.jobs);
-    scale_sharded_match = sh_serial.all_ok() && sh_parallel.all_ok() &&
-                          sh_serial.merged_digest == sh_parallel.merged_digest;
-    if (!scale_sharded_match) {
-      std::fprintf(stderr,
-                   "ppfs_perf: sharded %s merged digest depends on worker count "
-                   "(%016llx vs %016llx)\n",
-                   scale_largest->name,
-                   (unsigned long long)sh_serial.merged_digest,
-                   (unsigned long long)sh_parallel.merged_digest);
-      scale_ok = false;
-    }
-    std::printf("scale   sharded %s: %d shards, merged digest %s (1 vs %d workers)\n",
-                scale_largest->name, shards,
-                scale_sharded_match ? "identical" : "DIVERGED", args.jobs);
-    scale_sharded.field("machine", scale_largest->name)
-        .field("shards", shards)
-        .field("jobs", args.jobs)
-        .field("digest_serial", fmt_digest(sh_serial.merged_digest))
-        .field("digest_parallel", fmt_digest(sh_parallel.merged_digest))
-        .field("match", scale_sharded_match)
-        .field("completed", sh_serial.completed)
-        .field("events", sh_serial.events_dispatched)
-        .field("seconds_serial", sh_serial.seconds)
-        .field("seconds_parallel", sh_parallel.seconds);
-  }
   if (!scale_ok) ok = false;
 
   JsonObject scale_doc;
@@ -655,10 +615,8 @@ int main(int argc, char** argv) {
       .field("quick", args.quick)
       .field("min_scale_events_per_sec", args.min_scale_events_per_sec)
       .field("max_scale_bytes_per_event", args.max_scale_bytes_per_event)
-      .field("sharded_digests_identical", scale_sharded_match)
       .field("gate_pass", scale_ok)
-      .raw("rows", scale_rows.str())
-      .raw("sharded", scale_sharded.str());
+      .raw("rows", scale_rows.str());
   write_json_file(args.out_dir + "/BENCH_scale.json", scale_doc.str());
 
   // ---- write section ------------------------------------------------------

@@ -42,12 +42,11 @@ void print_result(const char* label, const ExperimentResult& r) {
   if (r.prefetch.issued > 0 || r.spec.prefetch) {
     const auto& p = r.prefetch;
     std::printf("  prefetch: issued=%llu ready=%llu in-flight=%llu miss=%llu stale=%llu "
-                "wasted=%llu skips=%llu hit=%.1f%% wait=%s\n",
+                "wasted=%llu hit=%.1f%% wait=%s\n",
                 (unsigned long long)p.issued, (unsigned long long)p.hits_ready,
                 (unsigned long long)p.hits_in_flight, (unsigned long long)p.misses,
                 (unsigned long long)p.stale_discarded, (unsigned long long)p.wasted,
-                (unsigned long long)p.throttled_skips, p.hit_ratio() * 100.0,
-                fmt_time(p.wait_time).c_str());
+                p.hit_ratio() * 100.0, fmt_time(p.wait_time).c_str());
     if (p.shed > 0 || p.fault_pauses > 0) {
       std::printf("  prefetch faults: shed=%llu pauses=%llu skips=%llu\n",
                   (unsigned long long)p.shed, (unsigned long long)p.fault_pauses,
