@@ -14,7 +14,8 @@ PfsFileSystem::PfsFileSystem(hw::Machine& machine, PfsParams params)
               params_.control_message_bytes) {
   servers_.reserve(static_cast<std::size_t>(machine.io_node_count()));
   for (int i = 0; i < machine.io_node_count(); ++i) {
-    servers_.emplace_back(machine, i, params_).set_topology_epoch_counter(&topology_epoch_);
+    servers_.emplace_back(machine, i, params_, content_arena_)
+        .set_topology_epoch_counter(&topology_epoch_);
   }
 }
 

@@ -83,6 +83,9 @@ class PfsFileSystem {
   hw::Machine& machine_;
   PfsParams params_;
   hw::NodeId metadata_node_;
+  // Chunk memory of every server's content store. Declared before servers_
+  // so it outlives them; it dies with the mount.
+  ufs::ContentArena content_arena_;
   // Per-I/O-node server state, io-index-ordered in one contiguous arena
   // (PfsServer is address-pinned: it hands out references to its Ufs and
   // params, which the arena's no-relocation contract preserves).

@@ -11,13 +11,14 @@
 
 namespace ppfs::pfs {
 
-PfsServer::PfsServer(hw::Machine& machine, int io_index, const PfsParams& params)
+PfsServer::PfsServer(hw::Machine& machine, int io_index, const PfsParams& params,
+                     ufs::ContentArena& content_arena)
     : machine_(machine),
       io_index_(io_index),
       mesh_node_(machine.io_node(io_index)),
       params_(params),
       device_(machine.raid(io_index)),
-      content_(params.ufs.block_bytes),
+      content_(content_arena, params.ufs.block_bytes),
       ufs_(machine.simulation(), "ufs-io" + std::to_string(io_index), device_, content_,
            &machine.cpu(mesh_node_), params.ufs),
       up_ev_(machine.simulation()) {

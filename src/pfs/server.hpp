@@ -65,7 +65,10 @@ struct PfsParams {
 
 class PfsServer {
  public:
-  PfsServer(hw::Machine& machine, int io_index, const PfsParams& params);
+  /// The server's content store takes its chunks from `content_arena`,
+  /// which must outlive the server (the mount owns it).
+  PfsServer(hw::Machine& machine, int io_index, const PfsParams& params,
+            ufs::ContentArena& content_arena);
   PfsServer(const PfsServer&) = delete;
   PfsServer& operator=(const PfsServer&) = delete;
 

@@ -1,9 +1,96 @@
 #include "ufs/block_store.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
+
+// Its poison macros compile to nothing without ASan.
+#include <sanitizer/asan_interface.h>
 
 namespace ppfs::ufs {
+
+namespace {
+
+constexpr std::size_t kChunkAlign = 64;
+
+std::size_t round_up(std::size_t n, std::size_t to) { return (n + to - 1) / to * to; }
+
+/// `bytes` (a multiple of the slab size) of fresh anonymous memory on a
+/// slab boundary, so the kernel can back it with 2 MiB pages. mmap only
+/// promises page alignment: map one slab extra and unmap the two ends.
+std::byte* map_slab(std::size_t bytes) {
+  constexpr std::size_t kAlign = ContentArena::kSlabBytes;
+  const std::size_t span = bytes + kAlign;
+  void* raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const auto start = reinterpret_cast<std::uintptr_t>(raw);
+  const std::uintptr_t base = (start + kAlign - 1) & ~(kAlign - 1);
+  const std::size_t head = base - start;
+  if (head != 0) ::munmap(raw, head);
+  ::munmap(reinterpret_cast<void*>(base + bytes), span - head - bytes);
+  // Advice only: where it fails the slab stays on 4 KiB pages.
+  ::madvise(reinterpret_cast<void*>(base), bytes, MADV_HUGEPAGE);
+  return reinterpret_cast<std::byte*>(base);
+}
+
+/// True when every byte of `s` is zero. Pattern data pays one compare:
+/// its first word is tested alone. Zeros are then OR-ed 64 bytes at a
+/// time, a loop the compiler vectorises, with an exit after each block.
+bool all_zero(std::span<const std::byte> s) {
+  const auto word = [](const std::byte* p) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    return w;
+  };
+  const std::byte* p = s.data();
+  const std::byte* const end = p + s.size();
+  if (s.size() >= sizeof(std::uint64_t) && word(p) != 0) return false;
+  for (; end - p >= 64; p += 64) {
+    std::uint64_t any = 0;
+    for (int k = 0; k < 8; ++k) any |= word(p + 8 * k);
+    if (any != 0) return false;
+  }
+  return std::all_of(p, end, [](std::byte b) { return b == std::byte{0}; });
+}
+
+}  // namespace
+
+ContentArena::~ContentArena() {
+  for (const Slab& s : slabs_) {
+    // munmap does not clear ASan's shadow, and a later mapping may reuse
+    // the range.
+    ASAN_UNPOISON_MEMORY_REGION(s.base, s.bytes);
+    ::munmap(s.base, s.bytes);
+  }
+}
+
+std::byte* ContentArena::allocate(std::size_t bytes) {
+  const std::size_t take = round_up(bytes, kChunkAlign);
+  if (static_cast<std::size_t>(end_ - next_) < take) {
+    const std::size_t slab_bytes = round_up(take, kSlabBytes);
+    std::byte* base = map_slab(slab_bytes);
+    try {
+      slabs_.push_back(Slab{base, slab_bytes});
+    } catch (...) {
+      ::munmap(base, slab_bytes);
+      throw;
+    }
+    // Under ASan, bytes not yet handed out are poisoned, so an overrun past
+    // the last chunk is reported.
+    ASAN_POISON_MEMORY_REGION(base, slab_bytes);
+    next_ = base;
+    end_ = base + slab_bytes;
+  }
+  std::byte* p = next_;
+  next_ += take;
+  ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+  return p;
+}
+
+ContentStore::ContentStore(ContentArena& arena, ByteCount chunk_bytes)
+    : arena_(arena), chunk_(chunk_bytes) {}
 
 void ContentStore::write(FileOffset offset, std::span<const std::byte> data) {
   FileOffset pos = offset;
@@ -13,15 +100,17 @@ void ContentStore::write(FileOffset offset, std::span<const std::byte> data) {
     const ByteCount in_chunk = pos % chunk_;
     const std::size_t n =
         std::min<std::size_t>(data.size() - done, static_cast<std::size_t>(chunk_ - in_chunk));
-    auto& chunk = chunks_[chunk_idx];
-    if (!chunk) {
-      // A fresh chunk: zero only what this write leaves uncovered (unwritten
-      // bytes read back as zero); the copy below fills the rest.
-      chunk = std::make_unique_for_overwrite<std::byte[]>(chunk_);
-      std::memset(chunk.get(), 0, in_chunk);
-      std::memset(chunk.get() + in_chunk + n, 0, chunk_ - in_chunk - n);
+    const std::span<const std::byte> src = data.subspan(done, n);
+    if (std::byte** stored = chunks_.find(chunk_idx)) {
+      std::memcpy(*stored + in_chunk, src.data(), n);
+    } else if (!all_zero(src)) {
+      // Arena memory is never handed out twice, so a fresh chunk is still
+      // the zero-filled page the kernel mapped: what this write leaves
+      // uncovered already reads back as zero.
+      std::byte* chunk = arena_.allocate(static_cast<std::size_t>(chunk_));
+      std::memcpy(chunk + in_chunk, src.data(), n);
+      chunks_.get_or_insert(chunk_idx) = chunk;
     }
-    std::memcpy(chunk.get() + in_chunk, data.data() + done, n);
     pos += n;
     done += n;
   }
@@ -35,11 +124,30 @@ void ContentStore::read(FileOffset offset, std::span<std::byte> out) const {
     const ByteCount in_chunk = pos % chunk_;
     const std::size_t n =
         std::min<std::size_t>(out.size() - done, static_cast<std::size_t>(chunk_ - in_chunk));
-    auto it = chunks_.find(chunk_idx);
-    if (it == chunks_.end()) {
-      std::memset(out.data() + done, 0, n);
+    if (const std::byte* const* stored = chunks_.find(chunk_idx)) {
+      std::memcpy(out.data() + done, *stored + in_chunk, n);
     } else {
-      std::memcpy(out.data() + done, it->second.get() + in_chunk, n);
+      std::memset(out.data() + done, 0, n);
+    }
+    pos += n;
+    done += n;
+  }
+}
+
+void ContentStore::discard(FileOffset offset, ByteCount bytes) {
+  FileOffset pos = offset;
+  ByteCount done = 0;
+  while (done < bytes) {
+    const std::uint64_t chunk_idx = pos / chunk_;
+    const ByteCount in_chunk = pos % chunk_;
+    const ByteCount n = std::min<ByteCount>(bytes - done, chunk_ - in_chunk);
+    if (std::byte** stored = chunks_.find(chunk_idx)) {
+      // A whole chunk's memory stays in the arena until the mount dies.
+      if (n == chunk_) {
+        chunks_.erase(chunk_idx);
+      } else {
+        std::memset(*stored + in_chunk, 0, n);
+      }
     }
     pos += n;
     done += n;

@@ -8,12 +8,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/raid.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/task.hpp"
 #include "sim/types.hpp"
 
@@ -73,20 +72,68 @@ class NullBlockDevice final : public BlockDevice {
   ByteCount bytes_ = 0;
 };
 
+/// Chunk memory for the content stores of one mount. It maps 2 MiB slabs,
+/// 2 MiB-aligned and advised MADV_HUGEPAGE, and hands out chunks by bumping
+/// a pointer through the newest slab. Its destructor unmaps every slab, so
+/// no content memory outlives the mount: slabs kept for the next machine
+/// would hide that machine's first-touch cost and hold memory between runs.
+///
+/// One arena per mount, not per store: the mount then leaves at most one
+/// partly used slab, where per-store arenas would leave one per store.
+/// Huge pages are the point: a fresh 128 MB image faults 64 times on
+/// 2 MiB pages against 32,768 times on 4 KiB ones. Where the kernel
+/// refuses the advice (THP off), a slab stays on 4 KiB pages and nothing
+/// else changes.
+class ContentArena {
+ public:
+  ContentArena() = default;
+  ~ContentArena();
+  ContentArena(const ContentArena&) = delete;
+  ContentArena& operator=(const ContentArena&) = delete;
+
+  /// `bytes` of zero-filled memory, 64-byte aligned, valid until the arena
+  /// dies. It is never handed out again, so it stays zero until written.
+  /// A request larger than a slab gets a slab of its own.
+  std::byte* allocate(std::size_t bytes);
+
+  std::size_t slab_count() const noexcept { return slabs_.size(); }
+
+  static constexpr std::size_t kSlabBytes = std::size_t{2} << 20;
+
+ private:
+  struct Slab {
+    std::byte* base;
+    std::size_t bytes;
+  };
+  std::vector<Slab> slabs_;
+  std::byte* next_ = nullptr;  // bump pointer into the newest slab
+  std::byte* end_ = nullptr;
+};
+
 /// Sparse byte image of a device. Unwritten ranges read back as zero.
+///
+/// A chunk is stored only once a write puts a non-zero byte in it: a write
+/// of all zeros into an absent chunk changes nothing a read can see. Chunk
+/// memory comes from the mount's ContentArena and goes back only with it.
 class ContentStore {
  public:
-  explicit ContentStore(ByteCount chunk_bytes = 64 * 1024) : chunk_(chunk_bytes) {}
+  ContentStore(ContentArena& arena, ByteCount chunk_bytes);
+  ContentStore(const ContentStore&) = delete;
+  ContentStore& operator=(const ContentStore&) = delete;
 
   void write(FileOffset offset, std::span<const std::byte> data);
   void read(FileOffset offset, std::span<std::byte> out) const;
+  /// Make [offset, offset + bytes) read back as zeros: whole chunks leave
+  /// the index, and a partly covered chunk is zeroed in the range.
+  void discard(FileOffset offset, ByteCount bytes);
 
   std::size_t chunk_count() const noexcept { return chunks_.size(); }
   ByteCount chunk_bytes() const noexcept { return chunk_; }
 
  private:
+  ContentArena& arena_;
   ByteCount chunk_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<std::byte[]>> chunks_;
+  sim::FlatMap<std::uint64_t, std::byte*> chunks_;  // chunk index -> its bytes
 };
 
 }  // namespace ppfs::ufs

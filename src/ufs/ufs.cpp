@@ -54,6 +54,9 @@ void Ufs::remove(const std::string& fname) {
   if (ino == kInvalidInode) throw std::invalid_argument("Ufs::remove: no such file " + fname);
   for (auto phys : inodes_.get(ino).blocks) {
     cache_.invalidate(phys);
+    // The block may go to another file, whose holes must read as zeros
+    // (a partial write fills the rest of its block from the store).
+    content_.discard(device_offset(phys, 0), params_.block_bytes);
     allocator_.free(phys);
   }
   // The freed physical blocks can be reallocated to another file; the tier

@@ -17,7 +17,9 @@
 // Scale discipline: machines are built with MachineConfig::paragon_scaled
 // (near-square mesh), all clients share one scratch read buffer (contents
 // are never verified), and latencies stream into a fixed-footprint sketch —
-// per-run memory stays O(nodes), never O(requests).
+// per-run memory stays O(nodes), never O(requests). Tenant files are
+// populated with zeros, which the I/O nodes' content stores do not store,
+// so they cost no content memory however large they are.
 #pragma once
 
 #include <cstdint>

@@ -9,16 +9,22 @@
 // FrameArena, the event queue is pre-sized, and the auditor's bookkeeping
 // (pending-frame counts, the destroyed-frame registry, resource ledgers)
 // lives in flat tables and in the Resource itself.
+//
+// The content store rides along: its chunks come from the mount's
+// ContentArena, so writing fresh chunks allocates only when the chunk
+// index or the arena's slab list grows.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
+#include "ufs/block_store.hpp"
 
 namespace {
 
@@ -97,6 +103,21 @@ TEST(AllocPerEvent, SteadyStateKernelWithSimCheckAllocatesNothing) {
   EXPECT_EQ(sim.auditor()->resource_outstanding(&res), 0);
   const std::uint64_t per_pass = static_cast<std::uint64_t>(kWorkers) * kRounds * (kRounds - 1) / 2;
   EXPECT_EQ(sum, 3 * per_pass);
+}
+
+TEST(AllocPerEvent, FreshContentChunksAllocateOnlyForIndexGrowth) {
+  constexpr ByteCount kChunk = 64 * 1024;
+  constexpr std::uint64_t kChunks = 256;
+  const std::vector<std::byte> data(kChunk, std::byte{0x5a});
+  ufs::ContentArena arena;
+  ufs::ContentStore store(arena, kChunk);
+  const std::uint64_t news_before = g_operator_new_calls.load();
+  for (std::uint64_t c = 0; c < kChunks; ++c) store.write(c * kChunk, data);
+  const std::uint64_t news = g_operator_new_calls.load() - news_before;
+  ASSERT_EQ(store.chunk_count(), kChunks);
+  // Index rehashes 16 -> 512 slots (two vectors each, 12) and slab-list
+  // growth 1 -> 8 (4). A heap block per chunk would add 256 more.
+  EXPECT_LE(news, 16u);
 }
 
 }  // namespace

@@ -199,7 +199,8 @@ TEST(MeshMtu, SegmentCountersTrackCeilDiv) {
 struct SortedFixture {
   Simulation sim;
   ufs::NullBlockDevice dev{sim, 1ull << 30};
-  ufs::ContentStore content{64 * 1024};
+  ufs::ContentArena arena;
+  ufs::ContentStore content{arena, 64 * 1024};
   ufs::Ufs fs{sim, "ufs0", dev, content, nullptr, ufs::UfsParams{}};
 };
 

@@ -140,7 +140,8 @@ TEST(DiskElevator, DataStillCorrectUnderReordering) {
 TEST(UfsReadahead, WarmsCacheForSequentialBufferedReads) {
   Simulation sim;
   ufs::NullBlockDevice dev(sim, 1ull << 30);
-  ufs::ContentStore content(64 * 1024);
+  ufs::ContentArena arena;
+  ufs::ContentStore content(arena, 64 * 1024);
   ufs::UfsParams p;
   p.readahead_blocks = 2;
   ufs::Ufs fs(sim, "ufs0", dev, content, nullptr, p);
@@ -164,7 +165,8 @@ TEST(UfsReadahead, WarmsCacheForSequentialBufferedReads) {
 TEST(UfsReadahead, FastPathDoesNotTriggerReadahead) {
   Simulation sim;
   ufs::NullBlockDevice dev(sim, 1ull << 30);
-  ufs::ContentStore content(64 * 1024);
+  ufs::ContentArena arena;
+  ufs::ContentStore content(arena, 64 * 1024);
   ufs::UfsParams p;
   p.readahead_blocks = 2;
   ufs::Ufs fs(sim, "ufs0", dev, content, nullptr, p);
@@ -181,7 +183,8 @@ TEST(UfsReadahead, FastPathDoesNotTriggerReadahead) {
 TEST(UfsReadahead, StopsAtEof) {
   Simulation sim;
   ufs::NullBlockDevice dev(sim, 1ull << 30);
-  ufs::ContentStore content(64 * 1024);
+  ufs::ContentArena arena;
+  ufs::ContentStore content(arena, 64 * 1024);
   ufs::UfsParams p;
   p.readahead_blocks = 8;
   ufs::Ufs fs(sim, "ufs0", dev, content, nullptr, p);

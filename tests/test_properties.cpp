@@ -151,7 +151,8 @@ TEST_P(UfsModelProperty, MatchesReferenceByteArray) {
   const auto& p = GetParam();
   Simulation sim;
   ufs::NullBlockDevice dev(sim, 1ull << 30);
-  ufs::ContentStore content(p.block_bytes);
+  ufs::ContentArena arena;
+  ufs::ContentStore content(arena, p.block_bytes);
   ufs::UfsParams params;
   params.block_bytes = p.block_bytes;
   params.cache_blocks = p.cache_blocks;

@@ -1,5 +1,5 @@
 // ppfs-lint: allow-file(ref-across-await) test idiom: coroutine referents are stack locals and the test blocks in sim.run()/run_task() before they die
-// Unit tests for the UFS substrate: content store, allocator, inode table,
+// Unit tests for the UFS substrate: content store and arena, allocator, inode table,
 // buffer cache, and the Ufs read/write paths (buffered + fast path +
 // coalescing).
 #include <gtest/gtest.h>
@@ -14,6 +14,10 @@
 #include "ufs/inode.hpp"
 #include "ufs/ufs.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace ppfs::ufs {
 namespace {
 
@@ -23,44 +27,58 @@ using ppfs::test::run_task;
 using sim::Simulation;
 using sim::Task;
 
+constexpr auto is_zero = [](std::byte b) { return b == std::byte{0}; };
+
 TEST(ContentStore, UnwrittenReadsAsZero) {
-  ContentStore cs;
+  ContentArena arena;
+  ContentStore cs(arena, 64 * 1024);
   std::vector<std::byte> buf(100, std::byte{0xff});
   cs.read(12345, buf);
   for (auto b : buf) EXPECT_EQ(b, std::byte{0});
 }
 
 TEST(ContentStore, RoundTripsAcrossChunkBoundaries) {
-  ContentStore cs(/*chunk_bytes=*/4096);
-  auto data = make_pattern(7, 4000, 8192);  // spans 3 chunks
-  cs.write(4000, data);
-  std::vector<std::byte> back(8192);
-  cs.read(4000, back);
-  EXPECT_TRUE(check_pattern(back, 7, 4000));
-  EXPECT_GE(cs.chunk_count(), 2u);
+  // Chunks of 1, 4 and 64 KiB, and of 3000 bytes, which does not divide a
+  // slab: 5 MiB of unaligned writes crosses two slab ends at each size.
+  for (const ByteCount chunk : {ByteCount{1024}, ByteCount{4096}, ByteCount{64 * 1024},
+                                ByteCount{3000}}) {
+    SCOPED_TRACE(chunk);
+    ContentArena arena;
+    ContentStore cs(arena, chunk);
+    constexpr FileOffset kBase = 4000;
+    constexpr ByteCount kTotal = 5ull << 20;
+    constexpr ByteCount kPiece = 100'000;
+    for (FileOffset off = 0; off < kTotal; off += kPiece) {
+      cs.write(kBase + off, make_pattern(7, kBase + off, std::min(kPiece, kTotal - off)));
+    }
+    EXPECT_GE(arena.slab_count(), 3u);
+    EXPECT_EQ(cs.chunk_count(), (kBase + kTotal + chunk - 1) / chunk - kBase / chunk);
+    std::vector<std::byte> back(kTotal);
+    cs.read(kBase, back);
+    EXPECT_TRUE(check_pattern(back, 7, kBase));
+  }
 }
 
 TEST(ContentStore, PartialWriteOfAFreshChunkLeavesTheRestZero) {
-  // A fresh chunk is allocated uninitialised and only the bytes the first
-  // write leaves uncovered are zeroed. A dirty block of the same size is
-  // freed first, so stale heap bytes would show if that zeroing were lost.
-  {
-    std::vector<std::byte> junk(4096, std::byte{0xff});
-    ASSERT_EQ(junk.back(), std::byte{0xff});
-  }
-  ContentStore cs(4096);
+  // Nothing zeroes a fresh chunk: it relies on arena memory never being
+  // handed out twice. A chunk full of pattern bytes is discarded first, so
+  // its bytes would show here if its memory came back as the fresh chunk.
+  ContentArena arena;
+  ContentStore cs(arena, 4096);
+  cs.write(8192, make_pattern(9, 8192, 4096));
+  cs.discard(8192, 4096);
   const auto data = make_pattern(3, 1000, 2000);
   cs.write(1000, data);
   std::vector<std::byte> back(4096, std::byte{0x5a});
   cs.read(0, back);
-  const auto is_zero = [](std::byte b) { return b == std::byte{0}; };
   EXPECT_TRUE(std::all_of(back.begin(), back.begin() + 1000, is_zero));
   EXPECT_TRUE(check_pattern(std::span(back).subspan(1000, 2000), 3, 1000));
   EXPECT_TRUE(std::all_of(back.begin() + 3000, back.end(), is_zero));
 }
 
 TEST(ContentStore, OverlappingWritesLastWins) {
-  ContentStore cs(1024);
+  ContentArena arena;
+  ContentStore cs(arena, 1024);
   auto a = make_pattern(1, 0, 2048);
   auto b = make_pattern(2, 512, 1024);
   cs.write(0, a);
@@ -71,6 +89,108 @@ TEST(ContentStore, OverlappingWritesLastWins) {
   EXPECT_TRUE(check_pattern(std::span(back).subspan(512, 1024), 2, 512));
   EXPECT_TRUE(check_pattern(std::span(back).subspan(1536, 512), 1, 1536));
 }
+
+TEST(ContentStore, ZeroWriteIntoAnAbsentChunkStoresNothing) {
+  ContentArena arena;
+  ContentStore cs(arena, 4096);
+  cs.write(1000, std::vector<std::byte>(3 * 4096));
+  EXPECT_EQ(cs.chunk_count(), 0u);
+  EXPECT_EQ(arena.slab_count(), 0u);
+  std::vector<std::byte> back(5 * 4096, std::byte{0x5a});
+  cs.read(0, back);
+  EXPECT_TRUE(std::all_of(back.begin(), back.end(), is_zero));
+}
+
+TEST(ContentStore, ZeroWriteOverAStoredChunkOverwritesIt) {
+  ContentArena arena;
+  ContentStore cs(arena, 4096);
+  cs.write(0, make_pattern(4, 0, 4096));
+  cs.write(100, std::vector<std::byte>(200));
+  EXPECT_EQ(cs.chunk_count(), 1u);
+  std::vector<std::byte> back(4096);
+  cs.read(0, back);
+  EXPECT_TRUE(check_pattern(std::span(back).subspan(0, 100), 4, 0));
+  EXPECT_TRUE(std::all_of(back.begin() + 100, back.begin() + 300, is_zero));
+  EXPECT_TRUE(check_pattern(std::span(back).subspan(300), 4, 300));
+}
+
+TEST(ContentStore, ZerosThenPatternInOneChunkRoundTrip) {
+  ContentArena arena;
+  ContentStore cs(arena, 4096);
+  // Two writes: the zeros store nothing, the pattern then makes the chunk.
+  cs.write(0, std::vector<std::byte>(2048));
+  cs.write(2048, make_pattern(5, 2048, 2048));
+  // One write each, zeros but for one byte past the first word: inside a
+  // 64-byte block, then in the ragged tail after the last whole block.
+  std::vector<std::byte> one_set(4000);
+  one_set[100] = std::byte{0x11};
+  cs.write(4096, one_set);
+  one_set[100] = std::byte{0};
+  one_set.back() = std::byte{0x22};
+  cs.write(2 * 4096, one_set);
+  EXPECT_EQ(cs.chunk_count(), 3u);
+  std::vector<std::byte> back(3 * 4096, std::byte{0x5a});
+  cs.read(0, back);
+  EXPECT_TRUE(std::all_of(back.begin(), back.begin() + 2048, is_zero));
+  EXPECT_TRUE(check_pattern(std::span(back).subspan(2048, 2048), 5, 2048));
+  EXPECT_EQ(std::count_if(back.begin() + 4096, back.end(), is_zero), 2 * 4096 - 2);
+  EXPECT_EQ(back[4096 + 100], std::byte{0x11});
+  EXPECT_EQ(back[2 * 4096 + 3999], std::byte{0x22});
+}
+
+TEST(ContentStore, DiscardDropsWholeChunksAndZeroesPartlyCoveredOnes) {
+  ContentArena arena;
+  ContentStore cs(arena, 64 * 1024);
+  constexpr ByteCount kChunk = 64 * 1024;
+  constexpr ByteCount kChunks = 64;
+  cs.write(0, make_pattern(8, 0, kChunks * kChunk));
+  // Chunk 0 loses [100, 300); chunks 1..62 leave; chunk 63 keeps its tail.
+  cs.discard(100, 200);
+  cs.discard(kChunk, (kChunks - 2) * kChunk + 5000);
+  EXPECT_EQ(cs.chunk_count(), 2u);
+  std::vector<std::byte> back(kChunks * kChunk, std::byte{0x5a});
+  cs.read(0, back);
+  EXPECT_TRUE(check_pattern(std::span(back).subspan(0, 100), 8, 0));
+  EXPECT_TRUE(std::all_of(back.begin() + 100, back.begin() + 300, is_zero));
+  EXPECT_TRUE(check_pattern(std::span(back).subspan(300, kChunk - 300), 8, 300));
+  const ByteCount last = (kChunks - 1) * kChunk;
+  EXPECT_TRUE(std::all_of(back.begin() + kChunk, back.begin() + last + 5000, is_zero));
+  EXPECT_TRUE(check_pattern(std::span(back).subspan(last + 5000), 8, last + 5000));
+}
+
+TEST(ContentArena, StoresSharingAnArenaKeepTheirOwnBytes) {
+  // Three stores take chunks in turn, so each one's chunks are spread over
+  // every slab and neighbour other stores' chunks across slab ends.
+  ContentArena arena;
+  constexpr ByteCount kChunk = 64 * 1024;
+  constexpr int kRounds = 40;  // 120 chunks: four slabs
+  ContentStore s0(arena, kChunk), s1(arena, kChunk), s2(arena, kChunk);
+  ContentStore* all[] = {&s0, &s1, &s2};
+  for (int r = 0; r < kRounds; ++r) {
+    for (std::uint64_t s = 0; s < 3; ++s) {
+      const FileOffset off = static_cast<FileOffset>(r) * kChunk;
+      all[s]->write(off, make_pattern(20 + s, off, kChunk));
+    }
+  }
+  EXPECT_EQ(arena.slab_count(), 4u);
+  std::vector<std::byte> back(kRounds * kChunk);
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    all[s]->read(0, back);
+    EXPECT_TRUE(check_pattern(back, 20 + s, 0)) << "store " << s;
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(ContentArena, PoisonsTheBytesPastTheLastChunk) {
+  ContentArena arena;
+  arena.allocate(4096);
+  std::byte* last = arena.allocate(1000);
+  EXPECT_FALSE(__asan_address_is_poisoned(last));
+  EXPECT_FALSE(__asan_address_is_poisoned(last + 999));
+  EXPECT_TRUE(__asan_address_is_poisoned(last + 1000));
+  EXPECT_TRUE(__asan_address_is_poisoned(last + 64 * 1024));
+}
+#endif
 
 TEST(BlockAllocator, AllocatesDistinctBlocks) {
   BlockAllocator a(10);
@@ -134,7 +254,8 @@ TEST(InodeTable, CreateLookupRemove) {
 
 struct CacheFixture {
   Simulation sim;
-  ContentStore content{4096};
+  ContentArena arena;
+  ContentStore content{arena, 4096};
   std::uint64_t fills = 0, flushes = 0;
   BufferCache cache{
       sim, 4, 4096,
@@ -238,7 +359,8 @@ TEST(BufferCache, FullBlockOverwriteSkipsFill) {
 struct UfsFixture {
   Simulation sim;
   NullBlockDevice dev{sim, 1ull << 30};
-  ContentStore content{64 * 1024};
+  ContentArena arena;
+  ContentStore content{arena, 64 * 1024};
   Ufs fs{sim, "ufs0", dev, content, nullptr, UfsParams{}};
 };
 
@@ -348,6 +470,25 @@ TEST(Ufs, RemoveFreesBlocksForReuse) {
   EXPECT_EQ(f.fs.lookup("a"), kInvalidInode);
 }
 
+TEST(Ufs, RemoveDropsTheDeletedFilesBytes) {
+  // b reuses a's freed block. Its partial write fills the rest of that
+  // block from the store, so a's bytes would show through b's hole.
+  UfsFixture f;
+  const auto bs = f.fs.params().block_bytes;
+  const std::vector<std::byte> old_bytes(bs, std::byte{0xab});
+  const auto patch = make_pattern(21, 5000, 100);
+  std::vector<std::byte> back(1000, std::byte{0x5a});
+  run_task(f.sim, [](UfsFixture& fx, std::span<const std::byte> a, std::span<const std::byte> p,
+                     std::span<std::byte> out) -> Task<void> {
+    co_await fx.fs.write(fx.fs.create("a"), 0, a, /*fastpath=*/true);
+    fx.fs.remove("a");
+    const InodeNum b = fx.fs.create("b");
+    co_await fx.fs.write(b, 5000, p, /*fastpath=*/false);
+    co_await fx.fs.read(b, 0, out.size(), out, /*fastpath=*/false);
+  }(f, old_bytes, patch, back));
+  EXPECT_TRUE(std::all_of(back.begin(), back.end(), is_zero));
+}
+
 TEST(Ufs, CoalescingCountsMultiBlockRuns) {
   UfsFixture f;
   auto ino = f.fs.create("a");
@@ -365,7 +506,8 @@ TEST(Ufs, CoalescingCountsMultiBlockRuns) {
 TEST(Ufs, CoalescingDisabledIssuesPerBlockOps) {
   Simulation sim;
   NullBlockDevice dev(sim, 1ull << 30);
-  ContentStore content(64 * 1024);
+  ContentArena arena;
+  ContentStore content(arena, 64 * 1024);
   UfsParams p;
   p.coalesce = false;
   Ufs fs(sim, "ufs0", dev, content, nullptr, p);
@@ -380,7 +522,8 @@ TEST(Ufs, CoalescingDisabledIssuesPerBlockOps) {
 TEST(Ufs, MisalignedBlockSizeRejected) {
   Simulation sim;
   NullBlockDevice dev(sim);
-  ContentStore content;
+  ContentArena arena;
+  ContentStore content(arena, 64 * 1024);
   UfsParams p;
   p.block_bytes = 1000;  // not a multiple of 512
   EXPECT_THROW(Ufs(sim, "bad", dev, content, nullptr, p), std::invalid_argument);
