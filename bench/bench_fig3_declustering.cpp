@@ -30,7 +30,8 @@ int main() {
     std::vector<sim::ByteCount> load(nodes, 0);
     for (int c = 0; c < nodes; ++c) {
       const sim::FileOffset off = static_cast<sim::FileOffset>(c) * req;
-      auto reqs = layout.map(off, req);
+      pfs::StripeExtents reqs;
+      layout.map(off, req, reqs);
       std::string hits, bytes;
       for (std::size_t i = 0; i < reqs.size(); ++i) {
         if (i) {

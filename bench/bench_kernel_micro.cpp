@@ -75,9 +75,10 @@ void BM_StripeMap(benchmark::State& state) {
   ppfs::pfs::StripeLayout layout(attrs);
   const ppfs::sim::ByteCount len = static_cast<ppfs::sim::ByteCount>(state.range(0)) * 1024;
   ppfs::sim::FileOffset off = 0;
+  ppfs::pfs::StripeExtents reqs;
   for (auto _ : state) {
-    auto reqs = layout.map(off, len);
-    benchmark::DoNotOptimize(reqs);
+    layout.map(off, len, reqs);
+    benchmark::DoNotOptimize(reqs.data());
     off += len;
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(len));

@@ -4,6 +4,7 @@
 
 #include "fault/error.hpp"
 #include "sim/check/audit.hpp"
+#include "sim/inline_vec.hpp"
 #include "sim/when_all.hpp"
 
 namespace ppfs::hw {
@@ -77,7 +78,9 @@ sim::Task<void> RaidArray::transfer(std::uint64_t lba, ByteCount bytes, bool wri
   }
   const bool reconstruct = !write && dead_data == 1;
 
-  std::vector<sim::Task<void>> parts;
+  // ppfs::hot — per-transfer fan-out over the members and the bus, in
+  // inline storage
+  sim::InlineVec<sim::Task<void>, 8> parts;
   for (std::size_t i = 0; i < members_.size(); ++i) {
     if (failed_[i]) continue;  // lost member: its share comes from parity
     const bool is_parity = i == parity_index();
@@ -89,7 +92,8 @@ sim::Task<void> RaidArray::transfer(std::uint64_t lba, ByteCount bytes, bool wri
   parts.push_back(hold_bus(bytes));
   // Propagating join: an injected transient error on one member must
   // surface to the caller as a retryable fault, not kill the run.
-  co_await sim::when_all_propagate(sim_, std::move(parts));
+  co_await sim::when_all_propagate(sim_, parts);
+  // ppfs::endhot
 
   if (reconstruct) {
     // XOR of the surviving data members + parity regenerates the lost share.

@@ -25,7 +25,7 @@ bool resolves_locally(IoMode mode) { return mode == IoMode::kRecord || mode == I
 /// True when an extent's pieces tile one contiguous file range. Its bytes
 /// are then one run of the caller's buffer, which the server reads into or
 /// writes from directly.
-bool file_contiguous(const std::vector<StripePiece>& pieces) {
+bool file_contiguous(const StripePieces& pieces) {
   for (std::size_t i = 1; i < pieces.size(); ++i) {
     if (pieces[i].file_offset != pieces[i - 1].file_offset + pieces[i - 1].length) {
       return false;
@@ -45,7 +45,7 @@ std::unique_ptr<std::byte[]> staging_image(ByteCount len) {
 /// `out`, whose first byte is file offset `base`. Only the first `got`
 /// bytes of the image came back from the server; the rest of the extent is
 /// a hole and reads as zeros. Returns the bytes copied from the image.
-ByteCount scatter(const std::vector<StripePiece>& pieces, const std::byte* image,
+ByteCount scatter(const StripePieces& pieces, const std::byte* image,
                   ByteCount got, std::span<std::byte> out, FileOffset base) {
   ByteCount cursor = 0;
   for (const StripePiece& piece : pieces) {
@@ -60,7 +60,7 @@ ByteCount scatter(const std::vector<StripePiece>& pieces, const std::byte* image
 
 /// Gather an extent's file-space pieces of `in` (file offset `base` at
 /// in[0]) into one contiguous stripe-file image. Returns the bytes placed.
-ByteCount gather(const std::vector<StripePiece>& pieces, std::span<const std::byte> in,
+ByteCount gather(const StripePieces& pieces, std::span<const std::byte> in,
                  FileOffset base, std::byte* image) {
   ByteCount cursor = 0;
   for (const StripePiece& piece : pieces) {
@@ -390,21 +390,22 @@ sim::Task<ByteCount> PfsClient::transfer(PfsFileMeta& meta, FileOffset off, Byte
   }
   if (len == 0) co_return 0;
 
-  std::vector<IoNodeRequest> extents;
-  std::vector<CoalescedRequest> merged;
-  std::vector<sim::Task<void>> parts;
+  // ppfs::hot — the per-call fan-out: extents, their merge and the RPC
+  // tasks live in this frame's inline storage
+  StripeExtents extents;
+  CoalescedRequests merged;
+  sim::InlineVec<sim::Task<void>, 8> parts;
   if (fs_.params().coalesce_rpcs) {
     // Extents bound for the same I/O node merge into one scatter-gather
     // RPC; the cached stripe map replaces per-operation metadata trips.
     co_await ensure_stripe_map(meta);
-    merged = coalesce_by_io(meta.layout.map(off, len));
-    parts.reserve(merged.size());
+    meta.layout.map(off, len, extents);
+    coalesce_by_io(extents, merged);
     for (const CoalescedRequest& req : merged) {
       parts.push_back(data_rpc(meta, req.extents, /*batched=*/true, off, buf, fastpath));
     }
   } else {
-    extents = meta.layout.map(off, len);
-    parts.reserve(extents.size());
+    meta.layout.map(off, len, extents);
     for (const IoNodeRequest& req : extents) {
       parts.push_back(data_rpc(meta, std::span(&req, 1), /*batched=*/false, off, buf, fastpath));
     }
@@ -412,7 +413,8 @@ sim::Task<ByteCount> PfsClient::transfer(PfsFileMeta& meta, FileOffset off, Byte
   // Propagating join: a terminal fault in one RPC surfaces here as a typed
   // error after the sibling transfers settle, instead of killing the whole
   // simulation.
-  co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
+  co_await sim::when_all_propagate(machine_.simulation(), parts);
+  // ppfs::endhot
   if (buf.is_write) meta.size = std::max<ByteCount>(meta.size, off + len);
   co_return len;
 }

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "hw/disk_sched.hpp"
+#include "sim/inline_vec.hpp"
 #include "sim/when_all.hpp"
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
@@ -279,10 +280,11 @@ sim::Task<void> PfsServer::serve_batch(std::span<ExtentOp> ops, bool is_write, b
     co_return;
   }
 
-  std::vector<sim::Task<void>> parts;
-  parts.reserve(ops.size());
+  // ppfs::hot — per-RPC fan-out over its extents, in inline storage
+  sim::InlineVec<sim::Task<void>, 8> parts;
   for (ExtentOp& op : ops) parts.push_back(access(op, is_write, fastpath));
-  co_await sim::when_all_propagate(machine_.simulation(), std::move(parts));
+  co_await sim::when_all_propagate(machine_.simulation(), parts);
+  // ppfs::endhot
 }
 
 }  // namespace ppfs::pfs

@@ -3,19 +3,18 @@
 #include <coroutine>
 #include <exception>
 
-#include "sim/flat_map.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
+#include "sim/task.hpp"
 
 namespace ppfs::sim::check {
 
 namespace {
 
-// The calling thread's registry of destroyed coroutine-frame addresses: a
-// key-only set (the value is empty). thread_local keeps parallel sweep
-// workers and concurrent test runners independent.
-struct Destroyed {};
-thread_local FlatMap<const void*, Destroyed> g_destroyed_frames;
+// The injections' frame: every resume runs the loop to its next suspension.
+Task<void> suspend_forever() {
+  for (;;) co_await std::suspend_always{};
+}
 
 // splitmix64: turns an arbitrary seed into a well-mixed trigger point so
 // injection tests exercise different interleavings per seed.
@@ -48,15 +47,12 @@ AuditError::AuditError(const ViolationRecord& rec)
                        "] at t=" + std::to_string(rec.when) + ": " + rec.detail),
       kind_(rec.kind) {}
 
-void note_frame_created(void* frame) noexcept {
-  if (frame) g_destroyed_frames.erase(frame);  // allocator reused the address
+Auditor::~Auditor() {
+  if (injection_frame_) {
+    note_frame_destroyed(injection_frame_.address());
+    injection_frame_.destroy();
+  }
 }
-
-void note_frame_destroyed(void* frame) noexcept {
-  if (frame) g_destroyed_frames.get_or_insert(frame);
-}
-
-bool frame_destroyed(void* frame) noexcept { return g_destroyed_frames.find(frame) != nullptr; }
 
 void Auditor::report(SimTime now, Violation kind, std::string detail, bool may_throw) {
   violations_.push_back(ViolationRecord{kind, now, std::move(detail)});
@@ -79,10 +75,9 @@ void Auditor::on_schedule(SimTime now, SimTime t, const void* frame) {
   tick_injection(now);
   // Check first, count after: a fail-fast report throws out of schedule_at
   // before the kernel queues the event, and an event that was never queued
-  // must not count as pending. (A report that throws may leave this
-  // frame's entry at 0, which reads as not queued.)
-  std::uint32_t* queued = frame != nullptr ? &pending_.get_or_insert(frame) : nullptr;
-  if (queued != nullptr && *queued > 0) {
+  // must not count as pending.
+  FrameHeader* header = frame != nullptr ? &frame_header(frame) : nullptr;
+  if (header != nullptr && header->queued > 0) {
     report(now, Violation::kDoubleResume,
            "coroutine frame scheduled while already pending in the event queue");
   }
@@ -90,19 +85,18 @@ void Auditor::on_schedule(SimTime now, SimTime t, const void* frame) {
     report(now, Violation::kCausality,
            "event scheduled at t=" + std::to_string(t) + " < now=" + std::to_string(now));
   }
-  if (queued != nullptr) ++*queued;
+  if (header != nullptr) ++header->queued;
 }
 
 bool Auditor::on_dispatch(SimTime now, const void* frame) {
   tick_injection(now);
   if (!frame) return true;
-  if (std::uint32_t* queued = pending_.find(frame); queued != nullptr && --*queued == 0) {
-    pending_.erase(frame);
-  }
-  // Erasing clears the stain, so an unrelated future frame at this address
-  // (or the shared noop coroutine used by injection) is not condemned
-  // forever.
-  if (g_destroyed_frames.erase(frame)) {
+  FrameHeader& header = frame_header(frame);
+  if (header.queued > 0) --header.queued;
+  // Clearing the stain here, as well as when a new Task frame takes the
+  // block, leaves the injection frame usable after its staged violation.
+  if (header.destroyed != 0) {
+    header.destroyed = 0;
     report(now, Violation::kResumeAfterDestroy,
            "dispatching a coroutine frame that was destroyed while queued");
     return false;
@@ -371,6 +365,11 @@ void Auditor::tick_injection(SimTime now) {
   injecting_ = false;
 }
 
+std::coroutine_handle<> Auditor::injection_frame() {
+  if (!injection_frame_) injection_frame_ = suspend_forever().release();
+  return injection_frame_;
+}
+
 void Auditor::fire_injection(SimTime now) {
   switch (injection_kind_) {
     case Violation::kCausality:
@@ -378,14 +377,16 @@ void Auditor::fire_injection(SimTime now) {
       sim_.call_at(now - 1.0, [] {});
       break;
     case Violation::kDoubleResume:
-      // The noop coroutine tolerates any number of resumes, so the injected
-      // double-schedule travels the real queue without risking UB.
-      sim_.schedule_at(now, std::noop_coroutine());
-      sim_.schedule_at(now, std::noop_coroutine());
+      // The injection frame tolerates any number of resumes, so the
+      // injected double-schedule travels the real queue without risking UB.
+      sim_.schedule_at(now, injection_frame());
+      sim_.schedule_at(now, injection_frame());
       break;
     case Violation::kResumeAfterDestroy:
-      sim_.schedule_at(now, std::noop_coroutine());
-      note_frame_destroyed(std::noop_coroutine().address());
+      // Stained, not destroyed: a freed block could be taken by a new
+      // frame before the dispatch, which would clear the stain.
+      sim_.schedule_at(now, injection_frame());
+      note_frame_destroyed(injection_frame_.address());
       break;
     case Violation::kResourceAccounting:
       on_resource_release(now, injected_ledger_, 1);  // release with nothing acquired

@@ -37,6 +37,8 @@
 // caught (and that the trigger point follows the seed).
 #pragma once
 
+#include <cassert>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -44,7 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/flat_map.hpp"
+#include "sim/frame_arena.hpp"
 #include "sim/types.hpp"
 
 namespace ppfs::sim {
@@ -83,19 +85,47 @@ class AuditError : public std::logic_error {
   Violation kind_;
 };
 
-// --- coroutine-frame lifetime registry -------------------------------------
+// --- coroutine-frame ledger ------------------------------------------------
 //
-// Task<T> reports frame creation/destruction here (see sim/task.hpp). The
-// registry belongs to the calling thread, not to a Simulation (a Simulation
-// runs on one thread, and frames may outlive or predate any particular
-// Simulation), so these are free functions rather than Auditor members. It
-// is keyed by address, so a handle scheduled after its frame died (say, one
-// left in an Event's waiter list) is still caught at dispatch, and a plain
-// address or std::noop_coroutine() works like an arena frame. A destroyed
-// address is cleared again when the allocator reuses it for a new frame.
-void note_frame_created(void* frame) noexcept;
-void note_frame_destroyed(void* frame) noexcept;
-bool frame_destroyed(void* frame) noexcept;
+// SimCheck's per-frame state lives in the FrameArena block header in front
+// of each frame (sim/frame_arena.hpp): how many event-queue entries hold
+// the frame, and whether its owning Task destroyed it. Task<T> reports
+// frame creation and destruction here (see sim/task.hpp), and the
+// Auditor's schedule and dispatch hooks read and write the same header, so
+// no hook probes a table or allocates. The header belongs to the frame,
+// not to a Simulation, which suits frames that outlive or predate any
+// particular Simulation.
+//
+// Only arena frames may be scheduled in a SimCheck build: a handle's
+// address must be the pointer PooledFrame::operator new returned, which
+// GCC makes it for every frame. The header's tag guards that assumption
+// in debug builds. A dead frame's block stays in the arena (free lists are
+// uncapped), so a handle scheduled after its frame died (say, one left in
+// an Event's waiter list) is still caught at dispatch. The stain clears
+// when a new Task frame lands in the block.
+inline FrameHeader& frame_header(const void* frame) noexcept {
+  FrameHeader& header = FrameArena::header_of(frame);
+  assert(header.tag == FrameArena::kTag && "SimCheck: handle is not a FrameArena frame");
+  return header;
+}
+
+inline void note_frame_created(void* frame) noexcept {
+  FrameHeader& header = frame_header(frame);
+  header.queued = 0;
+  header.destroyed = 0;
+}
+
+inline void note_frame_destroyed(void* frame) noexcept { frame_header(frame).destroyed = 1; }
+
+inline bool frame_destroyed(const void* frame) noexcept {
+  return frame_header(frame).destroyed != 0;
+}
+
+/// A queue entry holding `frame` was dropped undispatched (teardown).
+inline void note_frame_dequeued(const void* frame) noexcept {
+  std::uint32_t& queued = frame_header(frame).queued;
+  if (queued > 0) --queued;
+}
 
 // --- per-Resource double-entry ledger --------------------------------------
 //
@@ -115,6 +145,7 @@ class ResourceLedger {
 class Auditor {
  public:
   explicit Auditor(Simulation& sim) : sim_(sim) {}
+  ~Auditor();
   Auditor(const Auditor&) = delete;
   Auditor& operator=(const Auditor&) = delete;
 
@@ -248,11 +279,14 @@ class Auditor {
   void report(SimTime now, Violation kind, std::string detail, bool may_throw = true);
   void tick_injection(SimTime now);
   void fire_injection(SimTime now);
+  std::coroutine_handle<> injection_frame();
 
   Simulation& sim_;
   bool fail_fast_ = true;
 
-  FlatMap<const void*, std::uint32_t> pending_;  // frame -> times queued (0: not queued)
+  // The arena frame the kDoubleResume and kResumeAfterDestroy injections
+  // schedule: it suspends forever, so it tolerates any number of resumes.
+  std::coroutine_handle<> injection_frame_;
   ResourceLedger injected_ledger_;  // what the kResourceAccounting injection releases on
   // ppfs-lint: allow(det-unsafe-source) lookup/erase by key only, never iterated
   std::unordered_map<const void*, BufferLedger> buffers_;

@@ -5,16 +5,18 @@
 
 namespace ppfs::sim {
 
+// ppfs::hot — Event::set wakes in push order through the pre-sized queue;
+// both lists keep their storage for the next round
 void Event::set() {
   if (set_) return;
   set_ = true;
-  auto waiters = std::move(waiters_);
+  // Scheduling only queues: no waiter runs (or re-waits) inside this loop.
+  for (auto h : waiters_) sim_.schedule_at(sim_.now(), h);
   waiters_.clear();
-  auto callbacks = std::move(callbacks_);
+  for (auto& cb : callbacks_) sim_.call_at(sim_.now(), std::move(cb));
   callbacks_.clear();
-  for (auto h : waiters) sim_.schedule_at(sim_.now(), h);
-  for (auto& cb : callbacks) sim_.call_at(sim_.now(), std::move(cb));
 }
+// ppfs::endhot
 
 void Event::on_set(SmallFn cb) {
   if (set_) {

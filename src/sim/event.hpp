@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "sim/inline_vec.hpp"
 #include "sim/simulation.hpp"
 #include "sim/small_fn.hpp"
 #include "sim/task.hpp"
@@ -45,6 +46,9 @@ class Event {
   /// callback on an event that never fires leaks no parked process.
   void on_set(SmallFn cb);
 
+  // ppfs::hot — Event set/wait: waiters are coroutine handles in inline
+  // storage, so parking one allocates nothing below three waiters
+
   /// Awaitable: resume immediately if set, otherwise when set() is called.
   auto wait() {
     struct Awaiter {
@@ -55,13 +59,17 @@ class Event {
     };
     return Awaiter{*this};
   }
+  // ppfs::endhot
 
   std::size_t waiter_count() const noexcept { return waiters_.size(); }
 
  private:
   Simulation& sim_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  // Handles, not intrusive nodes threaded through the awaiters: a frame
+  // destroyed while it waits leaves a handle that SimCheck refuses at
+  // dispatch, not a dangling list node.
+  InlineVec<std::coroutine_handle<>, 2> waiters_;
   std::vector<SmallFn> callbacks_;
 };
 

@@ -2,13 +2,13 @@
 // addresses) to per-key state: linear probing with Robin Hood ordering
 // and backward-shift deletion.
 //
-// Three hot paths keep per-key state in it:
+// Two hot paths keep per-key state in it:
 //  * every prefetch predictor and the adaptive controller consult per-fd
 //    state on every read (keyed by file descriptor);
-//  * the SimCheck auditor counts each queued coroutine frame on every
-//    schedule and dispatch (keyed by frame address);
-//  * the thread's destroyed-frame registry is probed on every coroutine
-//    dispatch and updated on every frame create/destroy (keyed by address).
+//  * the UFS content store finds a chunk's bytes on every read and write
+//    (keyed by chunk index).
+// (The SimCheck auditor's per-frame state, once two address-keyed tables
+// here, now sits in the FrameArena block header in front of each frame.)
 // A node-based std::unordered_map allocates a node per insert and frees it
 // per erase; here insert and erase never touch the allocator except when
 // the table grows.
@@ -19,7 +19,7 @@
 // sorted by home slot (Robin Hood), so a probe reads a key only where the
 // resident shares its home, and a miss stops at the first resident that is
 // closer to its own home. The table grows past 1/2 load, which keeps
-// probe runs short: misses are the common case in the auditor's tables.
+// probe runs short.
 //
 // erase() shifts the rest of the probe run back over the hole instead of
 // leaving a tombstone, so the slot count tracks the peak number of live

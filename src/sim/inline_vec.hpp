@@ -56,6 +56,8 @@ class InlineVec {
   const T* data() const noexcept { return data_; }
   T& operator[](std::size_t i) noexcept { return data_[i]; }
   const T& operator[](std::size_t i) const noexcept { return data_[i]; }
+  T& back() noexcept { return data_[size_ - 1]; }
+  const T& back() const noexcept { return data_[size_ - 1]; }
 
   T* begin() noexcept { return data_; }
   T* end() noexcept { return data_ + size_; }

@@ -8,12 +8,17 @@
 //
 // acquire() returns a move-only guard; letting the guard go out of scope
 // releases the units. Use guard.release() to release early.
+//
+// The waiter queue is a ring over a vector that doubles only when full: a
+// Resource allocates nothing at construction (a mesh has thousands of link
+// Resources), and nothing once its queue has reached its high-water.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
-#include <deque>
+#include <utility>
+#include <vector>
 
 #include "sim/simulation.hpp"
 
@@ -65,10 +70,13 @@ class Resource {
   std::size_t capacity() const noexcept { return capacity_; }
   std::size_t in_use() const noexcept { return in_use_; }
   std::size_t available() const noexcept { return capacity_ - in_use_; }
-  std::size_t queue_length() const noexcept { return waiters_.size(); }
+  std::size_t queue_length() const noexcept { return waiting_; }
   /// SimCheck's double-entry count for this resource (written only by the
   /// auditor's hooks; stays 0 when SimCheck is compiled out).
   const check::ResourceLedger& audit_ledger() const noexcept { return ledger_; }
+
+  // ppfs::hot — Resource acquire/grant: the waiter ring allocates only when
+  // it grows past its high-water (grow_ring, below the region)
 
   /// Awaitable acquiring `units` capacity (must be <= capacity()).
   /// Resolves to a ResourceGuard.
@@ -78,7 +86,7 @@ class Resource {
       Resource& res;
       std::size_t units;
       bool await_ready() {
-        if (res.waiters_.empty() && res.in_use_ + units <= res.capacity_) {
+        if (res.waiting_ == 0 && res.in_use_ + units <= res.capacity_) {
           res.in_use_ += units;
           if (auto* a = res.sim_.auditor()) {
             a->on_resource_acquire(res.sim_.now(), res.ledger_, units);
@@ -87,9 +95,7 @@ class Resource {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) {
-        res.waiters_.push_back(Waiter{units, h});
-      }
+      void await_suspend(std::coroutine_handle<> h) { res.push_waiter(Waiter{units, h}); }
       ResourceGuard await_resume() noexcept { return ResourceGuard{&res, units}; }
     };
     return Awaiter{*this, units};
@@ -119,13 +125,32 @@ class Resource {
     // During pending-process teardown a granted waiter would never run (and
     // so never release), which would break acquire/release accounting.
     if (sim_.draining()) return;
-    while (!waiters_.empty() && in_use_ + waiters_.front().units <= capacity_) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
+    // Grant order is push order: strictly FIFO, no overtaking.
+    while (waiting_ != 0 && in_use_ + ring_[head_].units <= capacity_) {
+      const Waiter w = ring_[head_];
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      --waiting_;
       in_use_ += w.units;
       if (auto* a = sim_.auditor()) a->on_resource_acquire(sim_.now(), ledger_, w.units);
       sim_.schedule_at(sim_.now(), w.h);
     }
+  }
+
+  void push_waiter(Waiter w) {
+    if (waiting_ == ring_.size()) grow_ring();
+    ring_[(head_ + waiting_) & (ring_.size() - 1)] = w;
+    ++waiting_;
+  }
+  // ppfs::endhot
+
+  // Doubles the ring (sizes stay powers of two), oldest waiter first.
+  void grow_ring() {
+    std::vector<Waiter> bigger(ring_.empty() ? 4 : 2 * ring_.size());
+    for (std::size_t i = 0; i < waiting_; ++i) {
+      bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    }
+    ring_ = std::move(bigger);
+    head_ = 0;
   }
 
   Simulation& sim_;
@@ -133,7 +158,9 @@ class Resource {
   std::size_t in_use_ = 0;
   double busy_time_ = 0.0;
   check::ResourceLedger ledger_;
-  std::deque<Waiter> waiters_;
+  std::vector<Waiter> ring_;  // FIFO ring of waiters; size is 0 or a power of two
+  std::size_t head_ = 0;      // ring_ index of the oldest waiter
+  std::size_t waiting_ = 0;   // waiters in the ring
 };
 
 inline void ResourceGuard::release() {

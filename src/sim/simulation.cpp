@@ -106,6 +106,16 @@ std::size_t Simulation::destroy_pending_processes() {
   }
   // Whatever was queued either belonged to a just-destroyed process (the
   // handle now dangles) or is an orphaned callback of an aborted run.
+#if defined(PPFS_SIMCHECK)
+  // Each queued handle is counted in its frame's arena header (a dead
+  // frame's block stays in the arena). Dropping the entry drops the count,
+  // so a frame that outlives this Simulation can be scheduled in another
+  // without a false double-resume report.
+  while (!queue_.empty()) {
+    const EventQueue::Entry e = queue_.pop();
+    if (e.h) check::note_frame_dequeued(e.h.address());
+  }
+#endif
   queue_.clear();
   draining_ = false;
   return destroyed;

@@ -9,9 +9,9 @@
 // destructor. When a Task is co_awaited, the temporary Task lives for the
 // whole await expression, so the frame outlives its own completion.
 //
-// Under PPFS_SIMCHECK builds, frame creation and destruction are reported to
-// the SimCheck lifetime registry (sim/check/audit.hpp) so the kernel can
-// refuse to resume a frame whose owning Task already destroyed it —
+// Under PPFS_SIMCHECK builds, frame creation and destruction are noted in
+// the frame's FrameArena block header (sim/check/audit.hpp) so the kernel
+// can refuse to resume a frame whose owning Task already destroyed it —
 // converting a use-after-free into a diagnosed AuditError.
 #pragma once
 

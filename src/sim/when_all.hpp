@@ -8,11 +8,13 @@
 
 #include <cstddef>
 #include <exception>
-#include <memory>
+#include <new>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
+#include "sim/frame_arena.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 
@@ -25,14 +27,40 @@ inline Task<void> notify_when_done(Task<void> t, std::size_t& remaining, Event& 
   if (--remaining == 0) done.set();
 }
 
+// when_all_propagate's join state. It sits in a FrameArena block, and the
+// awaiting frame and every child hold a counted JoinRef to it: a child that
+// outlives its awaiting frame (teardown destroys process roots in any
+// order) still holds it safely, and the last reference frees it.
 struct JoinState {
   explicit JoinState(Simulation& s) : done(s) {}
   Event done;
   std::size_t remaining = 0;
+  std::size_t refs = 0;
   std::exception_ptr first_error;
 };
 
-inline Task<void> settle_when_done(Task<void> t, std::shared_ptr<JoinState> st) {
+class JoinRef {
+ public:
+  JoinRef(Simulation& sim, std::size_t remaining)
+      : st_(::new (FrameArena::local().allocate(sizeof(JoinState))) JoinState(sim)) {
+    st_->remaining = remaining;
+    st_->refs = 1;
+  }
+  JoinRef(const JoinRef& other) noexcept : st_(other.st_) { ++st_->refs; }
+  JoinRef& operator=(const JoinRef&) = delete;
+  ~JoinRef() {
+    if (--st_->refs == 0) {
+      st_->~JoinState();
+      FrameArena::local().deallocate(st_);
+    }
+  }
+  JoinState* operator->() const noexcept { return st_; }
+
+ private:
+  JoinState* st_;
+};
+
+inline Task<void> settle_when_done(Task<void> t, JoinRef st) {
   try {
     co_await std::move(t);
   } catch (...) {
@@ -56,21 +84,24 @@ inline Task<void> when_all(Simulation& sim, std::vector<Task<void>> tasks) {
   co_await done.wait();
 }
 
+// ppfs::hot — when_all_propagate runs once per request fan-out: the tasks
+// arrive in the caller's inline storage and the join state is an arena block
+
 /// Like when_all, but a child's exception is captured and rethrown to the
 /// awaiter once every child has settled, instead of going through the fatal
 /// Simulation error channel. The first error (in completion order) wins.
 /// Use for fan-outs whose children may fail with recoverable fault errors —
 /// a degraded RAID member or a crashed I/O node must surface to the caller
-/// as a catchable error, not kill the run.
-inline Task<void> when_all_propagate(Simulation& sim, std::vector<Task<void>> tasks) {
+/// as a catchable error, not kill the run. The tasks are moved out of
+/// `tasks` when the join starts, so the span only has to stay valid until
+/// the awaiting co_await begins.
+inline Task<void> when_all_propagate(Simulation& sim, std::span<Task<void>> tasks) {
   if (tasks.empty()) co_return;
-  auto st = std::make_shared<detail::JoinState>(sim);
-  st->remaining = tasks.size();
-  for (auto& t : tasks) {
-    sim.spawn(detail::settle_when_done(std::move(t), st));
-  }
+  const detail::JoinRef st(sim, tasks.size());
+  for (Task<void>& t : tasks) sim.spawn(detail::settle_when_done(std::move(t), st));
   co_await st->done.wait();
   if (st->first_error) std::rethrow_exception(st->first_error);
 }
+// ppfs::endhot
 
 }  // namespace ppfs::sim

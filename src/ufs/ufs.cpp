@@ -76,20 +76,21 @@ void Ufs::ensure_allocated(Inode& node, FileOffset upto) {
   }
 }
 
-std::vector<Ufs::Run> Ufs::contiguous_runs(const Inode& node, std::uint64_t first_block,
-                                           std::uint64_t block_count) const {
-  std::vector<Run> runs;
+// ppfs::hot — contiguous_runs runs once per fast-path read or write; the
+// runs go into the caller's inline scratch
+void Ufs::contiguous_runs(const Inode& node, std::uint64_t first_block,
+                          std::uint64_t block_count, Runs& out) const {
+  out.clear();
   for (std::uint64_t i = 0; i < block_count; ++i) {
     const std::uint64_t phys = node.blocks.at(first_block + i);
-    if (params_.coalesce && !runs.empty() &&
-        runs.back().phys_first + runs.back().count == phys) {
-      ++runs.back().count;
+    if (params_.coalesce && !out.empty() && out.back().phys_first + out.back().count == phys) {
+      ++out.back().count;
     } else {
-      runs.push_back(Run{phys, 1});
+      out.push_back(Run{phys, 1});
     }
   }
-  return runs;
 }
+// ppfs::endhot
 
 sim::Task<ByteCount> Ufs::read(InodeNum ino, FileOffset off, ByteCount len,
                                std::span<std::byte> out, bool fastpath) {
@@ -111,7 +112,8 @@ sim::Task<ByteCount> Ufs::read_fastpath(const Inode& node, FileOffset off, ByteC
                                         std::span<std::byte> out) {
   const std::uint64_t first_block = off / params_.block_bytes;
   const std::uint64_t block_count = len / params_.block_bytes;
-  auto runs = contiguous_runs(node, first_block, block_count);
+  Runs runs;
+  contiguous_runs(node, first_block, block_count, runs);
 
   ByteCount done = 0;
   std::uint64_t lbase = first_block;  // runs cover consecutive logical blocks
@@ -301,7 +303,8 @@ sim::Task<void> Ufs::write(InodeNum ino, FileOffset off, std::span<const std::by
     ++stats_.fastpath_writes;
     const std::uint64_t first_block = off / params_.block_bytes;
     const std::uint64_t block_count = in.size() / params_.block_bytes;
-    auto runs = contiguous_runs(node, first_block, block_count);
+    Runs runs;
+    contiguous_runs(node, first_block, block_count, runs);
     ByteCount done = 0;
     std::uint64_t lbase = first_block;
     for (const Run& run : runs) {

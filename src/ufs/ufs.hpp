@@ -23,6 +23,7 @@
 
 #include "cache/tier.hpp"
 #include "hw/node.hpp"
+#include "sim/inline_vec.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 #include "sim/types.hpp"
@@ -156,8 +157,12 @@ class Ufs {
     std::uint64_t phys_first;
     std::uint64_t count;
   };
-  std::vector<Run> contiguous_runs(const Inode& node, std::uint64_t first_block,
-                                   std::uint64_t block_count) const;
+  /// Inline up to eight runs: one per block of a 512 KB request.
+  using Runs = sim::InlineVec<Run, 8>;
+  /// The runs covering blocks [first_block, first_block + block_count), in
+  /// logical order, written into `out` (cleared first).
+  void contiguous_runs(const Inode& node, std::uint64_t first_block,
+                       std::uint64_t block_count, Runs& out) const;
 
   sim::Task<ByteCount> read_fastpath(const Inode& node, FileOffset off, ByteCount len,
                                      std::span<std::byte> out);

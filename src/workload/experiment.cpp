@@ -174,6 +174,9 @@ ExperimentResult Experiment::run(const WorkloadSpec& w, trace::TraceSink* sink,
   }
   const int N = spec_.ncompute;
 
+  // The arena's high-water restarts here, so frame_arena_bytes is this
+  // run's own peak, whatever ran on the thread before.
+  const std::uint64_t arena_base = sim::FrameArena::local().reset_peak();
   sim::Simulation sim;
   sim.set_trace_sink(sink);
   hw::MachineConfig mcfg = hw::MachineConfig::paragon(spec_.ncompute, spec_.nio, spec_.raid);
@@ -423,7 +426,7 @@ ExperimentResult Experiment::run(const WorkloadSpec& w, trace::TraceSink* sink,
   res.events_dispatched = sim.events_dispatched();
   res.peak_pending_events = sim.peak_pending_events();
   res.event_queue_bytes = sim.event_queue_bytes();
-  res.frame_arena_bytes = sim::FrameArena::local().stats().cached_bytes;
+  res.frame_arena_bytes = sim::FrameArena::local().stats().peak_live_bytes - arena_base;
   res.bytes_per_event =
       res.events_dispatched
           ? static_cast<double>(res.event_queue_bytes + res.frame_arena_bytes) /

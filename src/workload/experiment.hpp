@@ -143,11 +143,14 @@ struct ExperimentResult {
   std::uint64_t events_dispatched = 0;
 
   /// Memory-footprint counters (deterministic — derived from kernel pool
-  /// capacities, not OS RSS, so tests can gate on them). peak_pending_events
-  /// is the event-queue depth high-water; bytes_per_event is the kernel
-  /// footprint (queue + coroutine-frame arena) amortized over every
-  /// dispatched event — flat stats mean this falls with run length instead
-  /// of plateauing at a per-event accumulation cost.
+  /// capacities and live frames, not OS RSS, so tests can gate on them).
+  /// peak_pending_events is the event-queue depth high-water;
+  /// frame_arena_bytes is the run's own peak of live FrameArena blocks
+  /// (coroutine frames, boxed callbacks, join states), the same whatever
+  /// ran on the thread before; bytes_per_event is the kernel footprint
+  /// (queue + that arena peak) amortized over every dispatched event —
+  /// flat stats mean this falls with run length instead of plateauing at
+  /// a per-event accumulation cost.
   std::uint64_t peak_pending_events = 0;
   std::uint64_t event_queue_bytes = 0;
   std::uint64_t frame_arena_bytes = 0;

@@ -133,6 +133,9 @@ OpenArrivalResult run_open_arrival(const MachineSpec& machine,
   const ByteCount file_blocks = spec.tenant_file_size / spec.request_size;
   const ByteCount file_size = file_blocks * spec.request_size;
 
+  // The arena's high-water restarts here, so frame_arena_bytes is this
+  // run's own peak, whatever ran on the thread before.
+  const std::uint64_t arena_base = sim::FrameArena::local().reset_peak();
   sim::Simulation sim;
   hw::MachineConfig mcfg =
       hw::MachineConfig::paragon_scaled(machine.ncompute, machine.nio, machine.raid);
@@ -254,7 +257,7 @@ OpenArrivalResult run_open_arrival(const MachineSpec& machine,
   res.events_dispatched = sim.events_dispatched();
   res.peak_pending_events = sim.peak_pending_events();
   res.event_queue_bytes = sim.event_queue_bytes();
-  res.frame_arena_bytes = sim::FrameArena::local().stats().cached_bytes;
+  res.frame_arena_bytes = sim::FrameArena::local().stats().peak_live_bytes - arena_base;
   res.machine_state_bytes = hw.state_memory_bytes();
   res.bytes_per_event =
       res.events_dispatched

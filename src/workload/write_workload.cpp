@@ -219,6 +219,9 @@ ExperimentResult run_rounds(const WriteWorkloadSpec& spec) {
     throw std::invalid_argument("write-workload: producer-consumer needs >= 2 clients");
   }
 
+  // The arena's high-water restarts here, so frame_arena_bytes is this
+  // run's own peak, whatever ran on the thread before.
+  const std::uint64_t arena_base = sim::FrameArena::local().reset_peak();
   sim::Simulation sim;
   hw::MachineConfig mcfg = hw::MachineConfig::paragon(m.ncompute, m.nio, m.raid);
   mcfg.compute_cpu = m.compute_cpu;
@@ -316,7 +319,7 @@ ExperimentResult run_rounds(const WriteWorkloadSpec& spec) {
   res.events_dispatched = sim.events_dispatched();
   res.peak_pending_events = sim.peak_pending_events();
   res.event_queue_bytes = sim.event_queue_bytes();
-  res.frame_arena_bytes = sim::FrameArena::local().stats().cached_bytes;
+  res.frame_arena_bytes = sim::FrameArena::local().stats().peak_live_bytes - arena_base;
   res.bytes_per_event =
       res.events_dispatched
           ? static_cast<double>(res.event_queue_bytes + res.frame_arena_bytes) /

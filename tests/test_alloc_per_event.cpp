@@ -1,14 +1,24 @@
-// Allocations per event — a deterministic host-cost counter for the DES
-// kernel with SimCheck on.
+// Allocations per event — a deterministic host-cost counter with SimCheck
+// on.
 //
 // Global operator new is replaced with one that counts calls, which affects
 // everything linked into the binary; that is why this test has a binary of
-// its own. After a warm-up, a loop of processes that create and await child
-// Tasks, take an uncontended Resource and delay must dispatch at least
-// 10,000 events without one heap allocation: frames come from the
-// FrameArena, the event queue is pre-sized, and the auditor's bookkeeping
-// (pending-frame counts, the destroyed-frame registry, resource ledgers)
-// lives in flat tables and in the Resource itself.
+// its own.
+//
+// The kernel row: after a warm-up, a loop of processes that create and
+// await child Tasks, take an uncontended Resource and delay must dispatch
+// at least 10,000 events without one heap allocation. Frames come from the
+// FrameArena, the event queue is pre-sized, and the auditor's per-frame
+// ledger sits in the arena block header in front of each frame, its
+// resource ledgers in the Resource itself.
+//
+// The full-stack rows: a driver call on one shape, short and long, counted
+// around the whole call. The difference of the two counts over the
+// difference of their events cancels set-up (machine, mount, clients) and
+// leaves what the request path allocates per event. The stripe map, the
+// request fan-outs, the join states, Event and Resource waiters and the UFS
+// runs all keep their per-call scratch inline or in the arena; each row is
+// pinned at its exact count.
 //
 // The content store rides along: its chunks come from the mount's
 // ContentArena, so writing fresh chunks allocates only when the chunk
@@ -19,12 +29,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 #include "ufs/block_store.hpp"
+#include "workload/experiment.hpp"
+#include "workload/open_arrival.hpp"
 
 namespace {
 
@@ -39,6 +52,26 @@ void* operator new(std::size_t n) {
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+// The array forms count on their own: a sanitizer runtime's operator new[]
+// does not forward to the operator new above.
+void* operator new[](std::size_t n) {
+  g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+// The aligned forms too: sim::InlineVec spills through them.
+void* operator new(std::size_t n, std::align_val_t al) {
+  g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(al);
+  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a + (n == 0 ? a : 0))) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace ppfs::sim {
 namespace {
@@ -79,10 +112,8 @@ TEST(AllocPerEvent, SteadyStateKernelWithSimCheckAllocatesNothing) {
   Resource res(sim, kWorkers);
   std::uint64_t sum = 0;
 
-  // Warm-up. The first pass fills the arena and the event queue. In the
-  // second, blocks trade places between spawn wrappers (whose frames the
-  // registry does not track) and Tasks, so the destroyed-frame registry
-  // reaches its steady-state size.
+  // Warm-up. The first pass fills the arena and the event queue; after the
+  // second, the arena's free lists have grown to the loop's high-water.
   for (int pass = 0; pass < 2; ++pass) {
     spawn_workers(sim, res, sum);
     sim.run();
@@ -103,6 +134,96 @@ TEST(AllocPerEvent, SteadyStateKernelWithSimCheckAllocatesNothing) {
   EXPECT_EQ(sim.auditor()->resource_outstanding(&res), 0);
   const std::uint64_t per_pass = static_cast<std::uint64_t>(kWorkers) * kRounds * (kRounds - 1) / 2;
   EXPECT_EQ(sum, 3 * per_pass);
+}
+
+TEST(AllocPerEvent, ConstructingAResourceAllocatesNothing) {
+  // A scaled mesh builds one Resource per link direction (1,296 on an
+  // 18x18 mesh); the waiter ring allocates on its first contended acquire.
+  Simulation sim;
+  const std::uint64_t news_before = g_operator_new_calls.load();
+  {
+    Resource res(sim, 1);
+    EXPECT_EQ(res.queue_length(), 0u);
+  }
+  EXPECT_EQ(g_operator_new_calls.load() - news_before, 0u);
+}
+
+// One driver shape, short and long. Both measured calls run on a fresh
+// thread after a warm-up call, so the arena and the event queue start from
+// the same state whatever ran before in this process.
+struct Row {
+  std::uint64_t news = 0;    // long call's allocations minus the short one's
+  std::uint64_t events = 0;  // same, for dispatched events
+  double per_event() const {
+    return static_cast<double>(news) / static_cast<double>(events);
+  }
+};
+
+template <typename Call>
+Row measure(Call call) {
+  Row row;
+  std::thread worker([&] {
+    (void)call(false);  // warm-up
+    std::uint64_t before = g_operator_new_calls.load();
+    const std::uint64_t short_events = call(false);
+    const std::uint64_t short_news = g_operator_new_calls.load() - before;
+    before = g_operator_new_calls.load();
+    const std::uint64_t long_events = call(true);
+    const std::uint64_t long_news = g_operator_new_calls.load() - before;
+    row.news = long_news - short_news;
+    row.events = long_events - short_events;
+  });
+  worker.join();
+  return row;
+}
+
+TEST(AllocPerEvent, OpenArrivalOnTheTenantOpenShape) {
+  // perfbench's tenant_open: 256 clients on 64 I/O nodes, 16 Zipf(1.1)
+  // tenant files of 2 MB, 64 KB reads, no prefetch; 8 vs 32 requests each.
+  workload::MachineSpec machine;
+  machine.ncompute = 256;
+  machine.nio = 64;
+  workload::OpenArrivalSpec spec;
+  spec.tenants = 16;
+  spec.tenant_skew = 1.1;
+  spec.request_size = 64 * 1024;
+  spec.mean_interarrival = 0.4;
+  spec.tenant_file_size = 2 * 1024 * 1024;
+  spec.seed = 3;
+  const Row row = measure([&](bool long_run) {
+    workload::OpenArrivalSpec s = spec;
+    s.requests_per_client = long_run ? 32 : 8;
+    const auto r = workload::run_open_arrival(machine, s);
+    EXPECT_EQ(r.completed, r.issued);
+    return r.events_dispatched;
+  });
+  ASSERT_GT(row.events, 100000u);
+  EXPECT_LE(row.per_event(), 0.05) << row.news << " allocations over " << row.events;
+  // 24,576 more requests add 104 small allocations, none of 4 KB or more:
+  // nothing on the request path allocates per request (0.85 per event,
+  // about 14 per request, before its scratch moved inline).
+  EXPECT_EQ(row.news, 104u) << row.per_event() << " allocations per event";
+}
+
+TEST(AllocPerEvent, ExperimentOnThePaperShape) {
+  // The paper's 8x8 M_RECORD read of 128 KB requests, without prefetch;
+  // an 8 MB vs a 32 MB file. The populate writes are part of the call.
+  workload::WorkloadSpec w;
+  w.mode = pfs::IoMode::kRecord;
+  w.request_size = 128 * 1024;
+  w.prefetch = false;
+  const Row row = measure([&](bool long_run) {
+    workload::WorkloadSpec s = w;
+    s.file_size = (long_run ? 32 : 8) * 1024 * 1024;
+    const auto r = workload::Experiment{}.run(s);
+    EXPECT_EQ(r.total_bytes, s.file_size);
+    return r.events_dispatched;
+  });
+  ASSERT_GT(row.events, 5000u);
+  EXPECT_LE(row.per_event(), 0.05) << row.news << " allocations over " << row.events;
+  // 192 of these are blocks of 4 KB or more, the staging images data_rpc
+  // allocates for the populate writes.
+  EXPECT_EQ(row.news, 242u) << row.per_event() << " allocations per event";
 }
 
 TEST(AllocPerEvent, FreshContentChunksAllocateOnlyForIndexGrowth) {

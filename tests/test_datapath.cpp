@@ -77,8 +77,19 @@ pfs::StripeAttrs wide_attrs() {
   return a;
 }
 
+/// map() and coalesce_by_io() of one range, with both results kept alive:
+/// the coalesced requests point into the extents.
+struct Coalesced {
+  Coalesced(const pfs::StripeLayout& layout, sim::FileOffset off, sim::ByteCount len) {
+    layout.map(off, len, extents);
+    pfs::coalesce_by_io(extents, requests);
+  }
+  pfs::StripeExtents extents;
+  pfs::CoalescedRequests requests;
+};
+
 /// Collect every file-space piece of a coalesced request set, sorted.
-std::vector<pfs::StripePiece> all_pieces(const std::vector<pfs::CoalescedRequest>& reqs) {
+std::vector<pfs::StripePiece> all_pieces(const pfs::CoalescedRequests& reqs) {
   std::vector<pfs::StripePiece> pieces;
   for (const auto& r : reqs) {
     for (const auto& e : r.extents) {
@@ -91,7 +102,7 @@ std::vector<pfs::StripePiece> all_pieces(const std::vector<pfs::CoalescedRequest
 }
 
 /// The union of pieces must tile [off, off+len) exactly once.
-::testing::AssertionResult covers_exactly(const std::vector<pfs::CoalescedRequest>& reqs,
+::testing::AssertionResult covers_exactly(const pfs::CoalescedRequests& reqs,
                                           sim::FileOffset off, sim::ByteCount len) {
   sim::FileOffset cursor = off;
   for (const auto& p : all_pieces(reqs)) {
@@ -109,7 +120,8 @@ std::vector<pfs::StripePiece> all_pieces(const std::vector<pfs::CoalescedRequest
 
 TEST(CoalesceByIo, NarrowLayoutMergesAllSlotsIntoOneRpc) {
   pfs::StripeLayout layout(narrow_attrs());
-  auto merged = pfs::coalesce_by_io(layout.map(0, 512 * 1024));
+  const Coalesced c(layout, 0, 512 * 1024);
+  const auto& merged = c.requests;
   ASSERT_EQ(merged.size(), 1u);  // 8 per-slot RPCs become one
   EXPECT_EQ(merged[0].io_index, 0);
   EXPECT_EQ(merged[0].extents.size(), 8u);
@@ -118,7 +130,8 @@ TEST(CoalesceByIo, NarrowLayoutMergesAllSlotsIntoOneRpc) {
 
 TEST(CoalesceByIo, WideLayoutKeepsOneRpcPerNode) {
   pfs::StripeLayout layout(wide_attrs());
-  auto merged = pfs::coalesce_by_io(layout.map(0, 512 * 1024));
+  const Coalesced c(layout, 0, 512 * 1024);
+  const auto& merged = c.requests;
   ASSERT_EQ(merged.size(), 8u);
   for (const auto& r : merged) EXPECT_EQ(r.extents.size(), 1u);
   EXPECT_TRUE(covers_exactly(merged, 0, 512 * 1024));
@@ -129,7 +142,8 @@ TEST(CoalesceByIo, StripeBoundaryStraddle) {
   // Starts mid-stripe-unit and ends mid-unit two slots later.
   const sim::FileOffset off = 32 * 1024;
   const sim::ByteCount len = 128 * 1024;
-  auto merged = pfs::coalesce_by_io(layout.map(off, len));
+  const Coalesced c(layout, off, len);
+  const auto& merged = c.requests;
   ASSERT_EQ(merged.size(), 1u);
   EXPECT_TRUE(covers_exactly(merged, off, len));
 }
@@ -141,7 +155,8 @@ TEST(CoalesceByIo, WrapAroundTheGroupStaysOneExtentPerSlot) {
   // file-space pieces (offsets 0 and 512K).
   pfs::StripeLayout layout(narrow_attrs());
   const sim::ByteCount len = 512 * 1024 + 64 * 1024;  // full stripe + wrap
-  auto merged = pfs::coalesce_by_io(layout.map(0, len));
+  const Coalesced c(layout, 0, len);
+  const auto& merged = c.requests;
   ASSERT_EQ(merged.size(), 1u);
   ASSERT_EQ(merged[0].extents.size(), 8u);
   EXPECT_EQ(merged[0].extents[0].pieces.size(), 2u);  // slot 0, wrapped
@@ -153,7 +168,8 @@ TEST(CoalesceByIo, RepeatedNodeInNonAdjacentSlots) {
   a.stripe_unit = 64 * 1024;
   a.stripe_group = {0, 1, 0, 1};
   pfs::StripeLayout layout(a);
-  auto merged = pfs::coalesce_by_io(layout.map(0, 256 * 1024));
+  const Coalesced c(layout, 0, 256 * 1024);
+  const auto& merged = c.requests;
   ASSERT_EQ(merged.size(), 2u);  // one RPC per node, two extents each
   for (const auto& r : merged) EXPECT_EQ(r.extents.size(), 2u);
   EXPECT_TRUE(covers_exactly(merged, 0, 256 * 1024));

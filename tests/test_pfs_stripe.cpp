@@ -49,7 +49,8 @@ TEST(StripeLayout, LocalOffsets) {
 TEST(StripeLayout, SingleUnitRequestHitsOneNode) {
   // Paper Fig 3: "request sizes of 64KB" -> one I/O node per request.
   StripeLayout l(attrs8());
-  auto reqs = l.map(3 * kSU, kSU);
+  StripeExtents reqs;
+  l.map(3 * kSU, kSU, reqs);
   ASSERT_EQ(reqs.size(), 1u);
   EXPECT_EQ(reqs[0].io_index, 3);
   EXPECT_EQ(reqs[0].local_offset, 0u);
@@ -62,7 +63,8 @@ TEST(StripeLayout, MultiUnitRequestDeclusters) {
   // Paper Fig 3: "request sizes of 128KB" -> first su to node k, second to
   // node k+1.
   StripeLayout l(attrs8());
-  auto reqs = l.map(0, 2 * kSU);
+  StripeExtents reqs;
+  l.map(0, 2 * kSU, reqs);
   ASSERT_EQ(reqs.size(), 2u);
   EXPECT_EQ(reqs[0].io_index, 0);
   EXPECT_EQ(reqs[1].io_index, 1);
@@ -72,7 +74,8 @@ TEST(StripeLayout, MultiUnitRequestDeclusters) {
 
 TEST(StripeLayout, FullRoundTouchesAllNodesOnce) {
   StripeLayout l(attrs8());
-  auto reqs = l.map(0, 8 * kSU);
+  StripeExtents reqs;
+  l.map(0, 8 * kSU, reqs);
   ASSERT_EQ(reqs.size(), 8u);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(reqs[i].io_index, i);
@@ -85,7 +88,8 @@ TEST(StripeLayout, MultiRoundRequestStaysContiguousLocally) {
   StripeLayout l(attrs8());
   // 16 units: each node serves 2 units that are CONTIGUOUS in its stripe
   // file even though they are 8 units apart in file space.
-  auto reqs = l.map(0, 16 * kSU);
+  StripeExtents reqs;
+  l.map(0, 16 * kSU, reqs);
   ASSERT_EQ(reqs.size(), 8u);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(reqs[i].length, 2 * kSU);
@@ -98,7 +102,8 @@ TEST(StripeLayout, MultiRoundRequestStaysContiguousLocally) {
 
 TEST(StripeLayout, UnalignedRequestSplitsAtUnitBoundary) {
   StripeLayout l(attrs8());
-  auto reqs = l.map(kSU / 2, kSU);  // second half of unit 0 + first half of unit 1
+  StripeExtents reqs;
+  l.map(kSU / 2, kSU, reqs);  // second half of unit 0 + first half of unit 1
   ASSERT_EQ(reqs.size(), 2u);
   EXPECT_EQ(reqs[0].io_index, 0);
   EXPECT_EQ(reqs[0].local_offset, kSU / 2);
@@ -110,7 +115,8 @@ TEST(StripeLayout, UnalignedRequestSplitsAtUnitBoundary) {
 
 TEST(StripeLayout, SmallRequestWithinOneUnit) {
   StripeLayout l(attrs8());
-  auto reqs = l.map(2 * kSU + 100, 1000);
+  StripeExtents reqs;
+  l.map(2 * kSU + 100, 1000, reqs);
   ASSERT_EQ(reqs.size(), 1u);
   EXPECT_EQ(reqs[0].io_index, 2);
   EXPECT_EQ(reqs[0].local_offset, 100u);
@@ -121,7 +127,8 @@ TEST(StripeLayout, MapCoversRequestExactly) {
   StripeLayout l(attrs8(16 * 1024));
   const FileOffset off = 37 * 1024;
   const ByteCount len = 555 * 1024;
-  auto reqs = l.map(off, len);
+  StripeExtents reqs;
+  l.map(off, len, reqs);
   ByteCount total = 0;
   for (const auto& r : reqs) {
     ByteCount piece_sum = 0;
@@ -142,7 +149,8 @@ TEST(StripeLayout, RepeatedNodeInGroupGetsDistinctSlots) {
   a.stripe_unit = kSU;
   a.stripe_group.assign(8, 0);
   StripeLayout l(a);
-  auto reqs = l.map(0, 8 * kSU);
+  StripeExtents reqs;
+  l.map(0, 8 * kSU, reqs);
   ASSERT_EQ(reqs.size(), 8u);
   for (int s = 0; s < 8; ++s) {
     EXPECT_EQ(reqs[s].group_slot, s);
@@ -164,10 +172,137 @@ TEST(StripeLayout, SingleNodeGroupIsIdentityMapping) {
   a.stripe_unit = kSU;
   a.stripe_group = {0};
   StripeLayout l(a);
-  auto reqs = l.map(12345, 300000);
+  StripeExtents reqs;
+  l.map(12345, 300000, reqs);
   ASSERT_EQ(reqs.size(), 1u);
   EXPECT_EQ(reqs[0].local_offset, 12345u);
   EXPECT_EQ(reqs[0].length, 300000u);
+}
+
+// --- map() and coalesce_by_io() against a byte walk -------------------------
+
+/// One slot's share of a range, built a byte at a time.
+struct WalkedSlot {
+  int slot = -1;
+  FileOffset local_offset = 0;
+  ByteCount length = 0;
+  std::vector<StripePiece> pieces;
+};
+
+/// The reference: visit every byte of [off, off+len), place it by the
+/// Figure 3 formulas, and cut a new piece wherever the stripe changes.
+/// Slots come out in slot order, as map() emits them.
+std::vector<WalkedSlot> byte_walk(const StripeAttrs& a, FileOffset off, ByteCount len) {
+  const std::uint64_t n = a.stripe_group.size();
+  std::vector<WalkedSlot> slots(n);
+  bool locally_contiguous = true;
+  for (FileOffset b = off; b < off + len; ++b) {
+    const std::uint64_t stripe = b / a.stripe_unit;
+    WalkedSlot& w = slots[stripe % n];
+    const FileOffset local = (stripe / n) * a.stripe_unit + b % a.stripe_unit;
+    if (w.slot < 0) {
+      w.slot = static_cast<int>(stripe % n);
+      w.local_offset = local;
+    }
+    locally_contiguous = locally_contiguous && local == w.local_offset + w.length;
+    ++w.length;
+    StripePiece* last = w.pieces.empty() ? nullptr : &w.pieces.back();
+    if (last != nullptr && last->file_offset + last->length == b &&
+        last->file_offset / a.stripe_unit == stripe) {
+      ++last->length;
+    } else {
+      w.pieces.push_back(StripePiece{b, 1});
+    }
+  }
+  EXPECT_TRUE(locally_contiguous) << "a slot's share is not contiguous in its stripe file";
+  std::vector<WalkedSlot> used;
+  for (WalkedSlot& w : slots) {
+    if (w.slot >= 0) used.push_back(std::move(w));
+  }
+  return used;
+}
+
+void expect_matches_walk(const StripeAttrs& a, FileOffset off, ByteCount len) {
+  SCOPED_TRACE(::testing::Message() << "group " << a.stripe_group.size() << " unit "
+                                    << a.stripe_unit << " off " << off << " len " << len);
+  const std::vector<WalkedSlot> want = byte_walk(a, off, len);
+  StripeExtents got;
+  StripeLayout(a).map(off, len, got);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].group_slot, want[i].slot);
+    EXPECT_EQ(got[i].io_index, a.stripe_group[static_cast<std::size_t>(want[i].slot)]);
+    EXPECT_EQ(got[i].local_offset, want[i].local_offset);
+    EXPECT_EQ(got[i].length, want[i].length);
+    ASSERT_EQ(got[i].pieces.size(), want[i].pieces.size()) << "slot " << want[i].slot;
+    for (std::size_t j = 0; j < want[i].pieces.size(); ++j) {
+      EXPECT_EQ(got[i].pieces[j].file_offset, want[i].pieces[j].file_offset);
+      EXPECT_EQ(got[i].pieces[j].length, want[i].pieces[j].length);
+    }
+  }
+
+  // coalesce_by_io: one request per io node in first-appearance order,
+  // holding that node's slots in slot order.
+  std::vector<int> io_order;
+  std::vector<std::vector<int>> io_slots;
+  for (const WalkedSlot& w : want) {
+    const int io = a.stripe_group[static_cast<std::size_t>(w.slot)];
+    std::size_t k = 0;
+    while (k < io_order.size() && io_order[k] != io) ++k;
+    if (k == io_order.size()) {
+      io_order.push_back(io);
+      io_slots.emplace_back();
+    }
+    io_slots[k].push_back(w.slot);
+  }
+  CoalescedRequests merged;
+  coalesce_by_io(got, merged);
+  ASSERT_EQ(merged.size(), io_order.size());
+  std::size_t extents = 0;
+  for (std::size_t k = 0; k < io_order.size(); ++k) {
+    EXPECT_EQ(merged[k].io_index, io_order[k]);
+    ASSERT_EQ(merged[k].extents.size(), io_slots[k].size());
+    for (std::size_t e = 0; e < io_slots[k].size(); ++e) {
+      const IoNodeRequest& ext = merged[k].extents[e];
+      EXPECT_EQ(ext.group_slot, io_slots[k][e]);
+      EXPECT_EQ(ext.io_index, io_order[k]);
+      const WalkedSlot* w = nullptr;
+      for (const WalkedSlot& c : want) {
+        if (c.slot == ext.group_slot) w = &c;
+      }
+      ASSERT_NE(w, nullptr);
+      EXPECT_EQ(ext.local_offset, w->local_offset);
+      EXPECT_EQ(ext.length, w->length);
+      EXPECT_EQ(ext.pieces.size(), w->pieces.size());
+    }
+    extents += merged[k].extents.size();
+  }
+  EXPECT_EQ(extents, want.size());
+}
+
+TEST(StripeLayout, MapAndCoalesceMatchAByteWalk) {
+  std::vector<std::vector<int>> groups = {{0}, {2, 0, 1}, {0, 1, 2, 3, 4, 5, 6, 7}};
+  std::vector<int> wide(64);
+  std::iota(wide.begin(), wide.end(), 0);
+  groups.push_back(wide);
+  groups.push_back({0, 0, 0, 0, 0, 0, 0, 0});
+  for (const std::vector<int>& group : groups) {
+    for (ByteCount unit : {ByteCount{4 * 1024}, ByteCount{64 * 1024}, ByteCount{3000}}) {
+      StripeAttrs a;
+      a.stripe_unit = unit;
+      a.stripe_group = group;
+      const ByteCount n = group.size();
+      const FileOffset offsets[] = {
+          2 * unit,                      // stripe-aligned
+          unit + unit / 3 + 1,           // misaligned
+          (2 * n - 1) * unit + unit / 2  // mid last slot: the range wraps the group
+      };
+      const ByteCount lengths[] = {0, 1, unit - 1, unit, n * unit + 1, 3 * n * unit};
+      for (FileOffset off : offsets) {
+        for (ByteCount len : lengths) expect_matches_walk(a, off, len);
+      }
+    }
+  }
 }
 
 TEST(IoMode, TraitsMatchPaperTaxonomy) {

@@ -56,7 +56,8 @@ TEST_P(StripeLayoutProperty, MapCoversExactlyAndContiguously) {
   for (int trial = 0; trial < 200; ++trial) {
     const FileOffset off = rng.uniform_int(0, 64 * p.stripe_unit);
     const ByteCount len = rng.uniform_int(1, 16 * p.stripe_unit);
-    auto reqs = layout.map(off, len);
+    pfs::StripeExtents reqs;
+    layout.map(off, len, reqs);
 
     ByteCount total = 0;
     std::map<FileOffset, ByteCount> file_cover;  // disjointness check
@@ -111,7 +112,8 @@ TEST_P(StripeLayoutProperty, LocalSizesMatchMappedBytes) {
                                                 64 * p.stripe_unit}) {
     auto sizes = layout.local_sizes(fsize);
     // Mapping the whole file and summing per slot must agree.
-    auto reqs = layout.map(0, fsize);
+    pfs::StripeExtents reqs;
+    layout.map(0, fsize, reqs);
     std::vector<ByteCount> mapped(attrs.group_size(), 0);
     for (const auto& r : reqs) mapped[r.group_slot] += r.length;
     for (int s = 0; s < attrs.group_size(); ++s) {

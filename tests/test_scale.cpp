@@ -12,6 +12,7 @@
 #include <limits>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -213,6 +214,35 @@ TEST(ScaleSmoke, DigestStableAcrossRuns) {
   s.seed = 8;
   const auto c = run_open_arrival(smoke_machine(), s);
   EXPECT_NE(a.digest, c.digest);
+}
+
+TEST(ScaleSmoke, FrameArenaBytesAreTheRunsOwnPeak) {
+  // frame_arena_bytes (and so bytes_per_event, which ppfs_perf gates) is
+  // the run's own high-water of live arena blocks. It once read the
+  // thread's cached blocks, which a larger run earlier on the same thread
+  // inflated. A fresh thread gives the row a fresh arena for its first run.
+  MachineSpec small;
+  small.ncompute = 8;
+  small.nio = 8;
+  MachineSpec large;  // tenant_open's shape, with a few requests
+  large.ncompute = 256;
+  large.nio = 64;
+  OpenArrivalSpec large_spec;
+  large_spec.tenants = 16;
+  large_spec.requests_per_client = 2;
+  large_spec.tenant_file_size = 2 * 1024 * 1024;
+  large_spec.mean_interarrival = 0.4;
+  ppfs::workload::OpenArrivalResult alone, after;
+  std::thread worker([&] {
+    alone = run_open_arrival(small, smoke_spec());
+    (void)run_open_arrival(large, large_spec);
+    after = run_open_arrival(small, smoke_spec());
+  });
+  worker.join();
+  EXPECT_GT(alone.frame_arena_bytes, 0u);
+  EXPECT_EQ(after.frame_arena_bytes, alone.frame_arena_bytes);
+  EXPECT_EQ(after.bytes_per_event, alone.bytes_per_event);
+  EXPECT_EQ(after.digest, alone.digest);
 }
 
 TEST(ScaleSmoke, ScaledMeshIsNearSquare) {

@@ -1,6 +1,7 @@
 // ppfs-lint: allow-file(ref-across-await) test idiom: coroutine referents are stack locals and the test blocks in sim.run()/run_task() before they die
-// Tests for SimCheck — the kernel invariant auditor, the coroutine-frame
-// lifetime registry, the determinism digest, and pending-process teardown.
+// Tests for SimCheck — the kernel invariant auditor, its per-frame ledger
+// in the FrameArena block header, the determinism digest, and
+// pending-process teardown.
 //
 // Each of the auditor's violation classes gets (a) a real-path test that
 // commits the violation through the public kernel surface and (b) a seeded
@@ -21,6 +22,7 @@
 #include "prefetch/engine.hpp"
 #include "sim/check/audit.hpp"
 #include "sim/event.hpp"
+#include "sim/frame_arena.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
@@ -45,6 +47,30 @@ Task<void> tick_forever(Simulation& sim, Event& ev) {
 }
 
 Task<void> noop_task() { co_return; }
+
+Task<void> suspend_forever() {
+  for (;;) co_await std::suspend_always{};
+}
+
+// An arena frame a test may schedule by hand, any number of times: every
+// resume runs the loop to its next suspension. In a SimCheck build only
+// arena frames may be scheduled — the auditor keeps its per-frame ledger in
+// the FrameArena block header in front of the frame. The destructor does
+// what ~Task does.
+class ArenaFrame {
+ public:
+  ArenaFrame() : h_(suspend_forever().release()) {}
+  ArenaFrame(const ArenaFrame&) = delete;
+  ArenaFrame& operator=(const ArenaFrame&) = delete;
+  ~ArenaFrame() {
+    check::note_frame_destroyed(h_.address());
+    h_.destroy();
+  }
+  std::coroutine_handle<> handle() const noexcept { return h_; }
+
+ private:
+  std::coroutine_handle<> h_;
+};
 
 // --- causality --------------------------------------------------------------
 
@@ -72,31 +98,50 @@ TEST(SimCheckCausality, RecordOnlyModeCollects) {
 // --- double resume ----------------------------------------------------------
 
 TEST(SimCheckDoubleResume, SameFrameQueuedTwiceThrows) {
+  ArenaFrame frame;
   Simulation sim;
-  sim.schedule_at(1.0, std::noop_coroutine());
-  EXPECT_THROW(sim.schedule_at(1.0, std::noop_coroutine()), AuditError);
+  sim.schedule_at(1.0, frame.handle());
+  EXPECT_THROW(sim.schedule_at(1.0, frame.handle()), AuditError);
   EXPECT_EQ(sim.auditor()->count(Violation::kDoubleResume), 1u);
 }
 
 TEST(SimCheckDoubleResume, AbortedScheduleIsNotCountedAsPending) {
+  ArenaFrame frame;
   Simulation sim;
   sim.call_at(5.0, [] {});
   sim.run();
   // Causality throws out of schedule_at before the kernel queues the event,
   // so the frame must not be left counted as pending...
-  EXPECT_THROW(sim.schedule_at(1.0, std::noop_coroutine()), AuditError);
+  EXPECT_THROW(sim.schedule_at(1.0, frame.handle()), AuditError);
   EXPECT_EQ(sim.pending_events(), 0u);
   // ...or this legitimate schedule would be reported as a double resume.
-  EXPECT_NO_THROW(sim.schedule_at(6.0, std::noop_coroutine()));
+  EXPECT_NO_THROW(sim.schedule_at(6.0, frame.handle()));
   // A refused double resume is not counted either: after the one queued
   // event dispatches, the frame is free to be scheduled again.
-  EXPECT_THROW(sim.schedule_at(6.0, std::noop_coroutine()), AuditError);
+  EXPECT_THROW(sim.schedule_at(6.0, frame.handle()), AuditError);
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.run();
-  EXPECT_NO_THROW(sim.schedule_at(7.0, std::noop_coroutine()));
+  EXPECT_NO_THROW(sim.schedule_at(7.0, frame.handle()));
   sim.run();
   EXPECT_EQ(sim.auditor()->count(Violation::kCausality), 1u);
   EXPECT_EQ(sim.auditor()->count(Violation::kDoubleResume), 1u);
+}
+
+TEST(SimCheckDoubleResume, FrameLeftQueuedInATornDownSimulationSchedulesAgain) {
+  // The queued count lives in the frame's header, not in a Simulation.
+  // Teardown drops the entries it discards from that count, so the next
+  // Simulation sees the frame as not queued.
+  ArenaFrame frame;
+  {
+    Simulation first;
+    first.schedule_at(1.0, frame.handle());
+    ASSERT_EQ(first.pending_events(), 1u);
+  }  // torn down with the frame still queued
+  Simulation second;
+  EXPECT_NO_THROW(second.schedule_at(1.0, frame.handle()));
+  second.run();
+  EXPECT_EQ(second.auditor()->count(Violation::kDoubleResume), 0u);
+  EXPECT_EQ(second.auditor()->count(Violation::kResumeAfterDestroy), 0u);
 }
 
 // --- resume after destroy ---------------------------------------------------
@@ -139,15 +184,43 @@ TEST(SimCheckLifetime, DanglingWaiterHandleIsSuppressed) {
   EXPECT_EQ(sim.auditor()->count(Violation::kResumeAfterDestroy), 1u);
 }
 
+TEST(SimCheckLifetime, DanglingHandleIsCaughtPastTheOldFreeListCap) {
+  // The arena used to cache 1,024 blocks per size class and hand the rest
+  // back to the heap, where a dead frame's header would be freed memory.
+  // Now every block stays in the arena until thread exit, so a frame that
+  // dies after more than 1,024 others of its class were freed is still
+  // caught, and reading its header is no use-after-free (ASan would say).
+  Simulation sim;
+  sim.auditor()->set_fail_fast(false);
+  Event ev(sim);
+  const auto parked = [](Event& e) -> Task<void> { co_await e.wait(); };
+  std::vector<Task<void>> others;
+  for (int i = 0; i < 1100; ++i) others.push_back(parked(ev));
+  const std::uint64_t trims_before = FrameArena::local().stats().trims;
+  {
+    Task<void> victim = parked(ev);
+    victim.await_suspend(std::noop_coroutine()).resume();  // runs up to the wait
+    ASSERT_EQ(ev.waiter_count(), 1u);
+    others.clear();  // 1,100 frames of the victim's class freed first
+  }  // ~Task destroys the parked frame; its handle stays in the waiter list
+  EXPECT_EQ(FrameArena::local().stats().trims, trims_before);
+  ev.set();
+  sim.run();
+  EXPECT_EQ(sim.auditor()->count(Violation::kResumeAfterDestroy), 1u);
+}
+
 TEST(SimCheckLifetime, RegistryClearsStainOnReuse) {
-  int probe = 0;
-  void* addr = &probe;
-  EXPECT_FALSE(check::frame_destroyed(addr));
-  check::note_frame_destroyed(addr);
+  // A real reuse: a Task of the same size class takes the dead frame's
+  // block (the free list is LIFO), and its constructor clears the stain.
+  void* addr = nullptr;
+  {
+    ArenaFrame dead;
+    addr = dead.handle().address();
+    EXPECT_FALSE(check::frame_destroyed(addr));
+  }  // destroyed the way ~Task destroys a frame
   EXPECT_TRUE(check::frame_destroyed(addr));
-  // Task's constructor notes creation, which clears a stale stain left by a
-  // previous frame the allocator placed at the same address.
-  check::note_frame_created(addr);
+  ArenaFrame reused;
+  ASSERT_EQ(reused.handle().address(), addr);
   EXPECT_FALSE(check::frame_destroyed(addr));
 }
 
