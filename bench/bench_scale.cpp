@@ -107,10 +107,10 @@ int main(int argc, char** argv) {
                 row.name, r.completed, r.backlogged, r.events_dispatched, eps,
                 r.bytes_per_event, workload::fmt_time(r.latencies.median()).c_str(),
                 workload::fmt_time(r.latencies.percentile(95)).c_str(), secs);
-    if (r.completed != r.issued || r.app_errors != 0) {
+    if (r.completed != r.issued || r.faults.app_errors != 0) {
       std::fprintf(stderr, "error: %s: %" PRIu64 "/%" PRIu64 " completed, %" PRIu64
                            " app errors\n",
-                   row.name, r.completed, r.issued, r.app_errors);
+                   row.name, r.completed, r.issued, r.faults.app_errors);
       ok = false;
     }
     JsonObject o;

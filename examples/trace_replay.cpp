@@ -19,7 +19,7 @@ using namespace ppfs::workload;
 
 namespace {
 
-void report(const char* label, const TraceReplayResult& r) {
+void report(const char* label, const ExperimentResult& r) {
   std::printf("%-34s %8.2f MB/s observed  (%llu reads, %s, wall %s)",
               label, r.observed_read_bw_mbs, (unsigned long long)r.reads,
               fmt_bytes(r.total_bytes).c_str(), fmt_time(r.wall_elapsed).c_str());

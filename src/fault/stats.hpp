@@ -1,6 +1,7 @@
-// Cross-layer fault/recovery summary, aggregated by workload::Experiment
-// from the client RPC envelopes, RAID arrays, disks, and prefetch engines
-// so one struct answers "what went wrong and how was it absorbed".
+// Cross-layer fault/recovery summary, aggregated by the workload drivers'
+// run skeleton from the client RPC envelopes, RAID arrays, disks, and
+// prefetch engines so one struct answers "what went wrong and how was it
+// absorbed".
 #pragma once
 
 #include <cstdint>

@@ -94,8 +94,8 @@ struct PrefetchStats {
   std::array<std::uint64_t, kDepthHistBuckets> depth_hist{};
 
   /// Add another engine's counters into this one: every field is a sum,
-  /// the depth histogram bucket by bucket. Experiment::run and
-  /// replay_trace fold their per-rank engines into one run total with it.
+  /// the depth histogram bucket by bucket. The workload drivers' run
+  /// skeleton folds every engine into one run total with it.
   void merge(const PrefetchStats& o);
 
   double hit_ratio() const {

@@ -28,10 +28,6 @@ namespace ppfs::trace {
 class TraceSink;
 }
 
-namespace ppfs::pfs {
-class PfsClient;
-}
-
 namespace ppfs::workload {
 
 struct MachineSpec {
@@ -42,47 +38,45 @@ struct MachineSpec {
   hw::CpuParams io_cpu{};
   pfs::PfsParams pfs{};
   /// Mesh segmentation MTU (0 = legacy circuit transfers). Applied to
-  /// MachineConfig::mesh when the experiment builds its machine.
+  /// MachineConfig::mesh when a driver builds its machine.
   ByteCount mesh_mtu = 0;
 };
 
-struct ExperimentResult {
-  // Inputs echoed back for table printing.
-  WorkloadSpec spec;
-
-  ByteCount total_bytes = 0;     // delivered to the application(s)
-  std::uint64_t reads = 0;
-  sim::SimTime wall_elapsed = 0; // first read issued -> last read complete
+/// The counter block every workload driver reports, filled in one place:
+/// the run skeleton's collect (src/workload/rig.cpp). Two scopes:
+///   - measured phase: the application-call counters (writes,
+///     bytes_written, the per-node read and write call times) and
+///     staged_bytes count only the phase the driver measures, never the
+///     populate before it;
+///   - whole run (populate + phase): everything else, that is the protocol
+///     and stack traffic (RPCs, tokens, write-back, mesh, servers, RAID,
+///     cache tier, faults, prefetch), the digest and the footprint.
+struct RunCounters {
+  /// Application write calls that returned, and their bytes.
+  std::uint64_t writes = 0;
+  ByteCount bytes_written = 0;
   /// Per-node total time inside read calls; max is the paper's denominator.
   std::vector<sim::SimTime> node_read_time;
   sim::SimTime max_node_read_time = 0;
-  sim::SimTime mean_read_call_time = 0;
-  /// Per-read-call latency distribution across all nodes. Streaming and
-  /// fixed-footprint (log2-bin sketch): the result's memory no longer grows
-  /// with the number of reads, which is what keeps bytes/event flat on
-  /// production-scale runs.
-  sim::StreamingQuantiles read_latencies;
-
-  double observed_read_bw_mbs = 0;  // total_bytes / max_node_read_time
-  double wall_bw_mbs = 0;           // total_bytes / wall_elapsed
+  sim::SimTime max_node_write_time = 0;  // slowest node's total write-call time
+  double observed_write_bw_mbs = 0;      // bytes_written / max_node_write_time
+  /// Payload bytes that went through a client staging image
+  /// (RpcStats::staged_bytes). The populate writes are left out: their 1 MB
+  /// chunks are multi-piece extents on a wide stripe, so they are always
+  /// staged.
+  ByteCount staged_bytes = 0;
 
   prefetch::PrefetchStats prefetch;  // summed across nodes (zero w/o engine)
-  std::uint64_t verify_failures = 0;
 
-  /// Per-class RPC traffic summed across clients (read phase + populate):
-  /// the split makes the metadata node's control-message load visible next
-  /// to the data traffic it serializes.
+  /// Per-class RPC traffic summed across clients: the split makes the
+  /// metadata node's control-message load visible next to the data traffic
+  /// it serializes.
   std::uint64_t data_rpcs = 0;
   std::uint64_t metadata_rpcs = 0;
   std::uint64_t pointer_rpcs = 0;
   std::uint64_t coalesced_rpcs = 0;
   std::uint64_t coalesced_extents = 0;
   std::uint64_t stripe_map_refreshes = 0;
-  /// Payload bytes that went through a client staging image
-  /// (RpcStats::staged_bytes) in the measured phase. Experiment::run leaves
-  /// the populate writes out: their 1 MB chunks are multi-piece extents on
-  /// a wide stripe, so they are always staged.
-  ByteCount staged_bytes = 0;
 
   /// Data-path instrumentation: mesh segmentation and server batching.
   std::uint64_t mesh_segmented_messages = 0;
@@ -94,7 +88,8 @@ struct ExperimentResult {
   std::vector<std::pair<int, sim::SimTime>> top_links;
 
   /// Fault/recovery counters summed across the whole stack (all zero on a
-  /// healthy run with an empty plan).
+  /// healthy run with an empty plan). app_errors counts the FaultErrors the
+  /// driver's application code caught.
   fault::FaultSummary faults;
 
   /// Second-tier cache counters summed across I/O nodes (all zero when the
@@ -115,12 +110,8 @@ struct ExperimentResult {
   sim::SimTime cache_recovery_time = 0;  // summed journal-replay time
 
   /// TokenWrite counters summed across clients (all zero unless
-  /// PfsParams::write_tokens is on): the write path's activity, the token
-  /// protocol traffic, and the write-back cache behavior.
-  std::uint64_t writes = 0;
-  ByteCount bytes_written = 0;
-  sim::SimTime max_node_write_time = 0;  // slowest node's total write-call time
-  double observed_write_bw_mbs = 0;      // bytes_written / max_node_write_time
+  /// PfsParams::write_tokens is on): the token protocol traffic and the
+  /// write-back cache behavior.
   std::uint64_t token_rpcs = 0;          // acquisitions that reached the manager
   std::uint64_t token_local_grants = 0;  // acquisitions served by the token cache
   std::uint64_t token_grants = 0;        // grants the manager installed
@@ -136,9 +127,9 @@ struct ExperimentResult {
   std::uint64_t wb_capacity_evictions = 0;
   ByteCount wb_peak_dirty_bytes = 0;     // max across clients
 
-  /// SimCheck determinism digest of the whole run (populate + read phase):
-  /// the kernel's FNV-1a hash over every dispatched event. Two runs of the
-  /// same spec must agree bit-for-bit — see ppfs_run --selfcheck.
+  /// SimCheck determinism digest of the whole run (populate + phase): the
+  /// kernel's FNV-1a hash over every dispatched event. Two runs of the same
+  /// spec must agree bit-for-bit — see ppfs_run --selfcheck.
   std::uint64_t digest = 0;
   std::uint64_t events_dispatched = 0;
 
@@ -147,20 +138,38 @@ struct ExperimentResult {
   /// peak_pending_events is the event-queue depth high-water;
   /// frame_arena_bytes is the run's own peak of live FrameArena blocks
   /// (coroutine frames, boxed callbacks, join states), the same whatever
-  /// ran on the thread before; bytes_per_event is the kernel footprint
-  /// (queue + that arena peak) amortized over every dispatched event —
-  /// flat stats mean this falls with run length instead of plateauing at
-  /// a per-event accumulation cost.
+  /// ran on the thread before; machine_state_bytes is the sharded per-node
+  /// state; bytes_per_event is the kernel footprint (queue + that arena
+  /// peak) amortized over every dispatched event — flat stats mean this
+  /// falls with run length instead of plateauing at a per-event
+  /// accumulation cost.
   std::uint64_t peak_pending_events = 0;
   std::uint64_t event_queue_bytes = 0;
   std::uint64_t frame_arena_bytes = 0;
+  std::uint64_t machine_state_bytes = 0;
   double bytes_per_event = 0;
 };
 
-/// Fold one client's TokenWrite counters (token RPCs, manager traffic seen
-/// through its stats, write-back cache activity) into a result. Shared by
-/// the read-workload driver and the write workloads.
-void accumulate_token_stats(ExperimentResult& res, const pfs::PfsClient& client);
+struct ExperimentResult : RunCounters {
+  // Inputs echoed back for table printing.
+  WorkloadSpec spec;
+
+  ByteCount total_bytes = 0;     // delivered to the application(s)
+  std::uint64_t reads = 0;
+  sim::SimTime wall_elapsed = 0; // first read issued -> last read complete
+  sim::SimTime mean_read_call_time = 0;
+  /// Per-read-call latency distribution across all nodes (the write
+  /// workloads record write-call latencies here). Streaming and
+  /// fixed-footprint (log2-bin sketch): the result's memory does not grow
+  /// with the number of reads, which is what keeps bytes/event flat on
+  /// production-scale runs.
+  sim::StreamingQuantiles read_latencies;
+
+  double observed_read_bw_mbs = 0;  // total_bytes / max_node_read_time
+  double wall_bw_mbs = 0;           // total_bytes / wall_elapsed
+
+  std::uint64_t verify_failures = 0;
+};
 
 /// Runs workloads on a freshly-built machine each time (fully
 /// deterministic; no state leaks between runs).

@@ -53,32 +53,16 @@ struct OpenArrivalSpec {
   double write_fraction = 0;
 };
 
-struct OpenArrivalResult {
+struct OpenArrivalResult : RunCounters {
   OpenArrivalSpec spec;
   int ncompute = 0;
   int nio = 0;
 
   std::uint64_t issued = 0;
+  /// Requests that returned without a FaultError (reads and writes; the
+  /// writes among them are RunCounters::writes).
   std::uint64_t completed = 0;
-  std::uint64_t app_errors = 0;
-  ByteCount total_bytes = 0;
-  /// TokenWrite mixed tenancy (all zero when write_fraction == 0).
-  std::uint64_t writes_completed = 0;
-  ByteCount bytes_written = 0;
-  std::uint64_t token_rpcs = 0;
-  std::uint64_t token_local_grants = 0;
-  std::uint64_t token_grants = 0;
-  std::uint64_t token_revocations = 0;
-  std::uint64_t token_splits = 0;
-  std::uint64_t token_invalidations = 0;
-  std::uint64_t wb_writes = 0;
-  std::uint64_t wb_read_hits = 0;
-  std::uint64_t wb_flush_ops = 0;
-  ByteCount wb_flushed_bytes = 0;
-  std::uint64_t wb_revocation_flushes = 0;
-  std::uint64_t wb_fsync_flushes = 0;
-  std::uint64_t wb_capacity_evictions = 0;
-  ByteCount wb_peak_dirty_bytes = 0;
+  ByteCount total_bytes = 0;     // read by the application
   sim::SimTime sim_elapsed = 0;  // first arrival -> last completion
   double wall_bw_mbs = 0;
   /// Arrival-to-completion latency sketch (fixed footprint).
@@ -87,20 +71,13 @@ struct OpenArrivalResult {
   /// and the summed service-start lag they experienced.
   std::uint64_t backlogged = 0;
   sim::SimTime backlog_time = 0;
-
-  std::uint64_t digest = 0;
-  std::uint64_t events_dispatched = 0;
-  std::uint64_t peak_pending_events = 0;
-  std::uint64_t event_queue_bytes = 0;
-  std::uint64_t frame_arena_bytes = 0;
-  std::uint64_t machine_state_bytes = 0;  // sharded per-node arenas
-  double bytes_per_event = 0;
 };
 
 /// Build a paragon_scaled machine from `machine` (its ncompute/nio/raid/pfs
 /// knobs), populate the tenant files through the full stack, then run one
-/// open-arrival read phase. Deterministic: same spec, same digest.
-OpenArrivalResult run_open_arrival(const MachineSpec& machine,
-                                   const OpenArrivalSpec& spec);
+/// open-arrival read phase. Deterministic: same spec, same digest. `sink`
+/// (may be null) traces the whole run.
+OpenArrivalResult run_open_arrival(const MachineSpec& machine, const OpenArrivalSpec& spec,
+                                   trace::TraceSink* sink = nullptr);
 
 }  // namespace ppfs::workload

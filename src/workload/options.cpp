@@ -180,8 +180,12 @@ the paper's metrics.
                         --conflicting, fsync + cross-client read-back),
                         producer-consumer (no fsync; revocation flushes are
                         the only coherence), mixed (open-arrival tenants
-                        with a --write-fraction of writes). Honors
-                        --writers/--request/--delay/--faults/--selfcheck
+                        with a --write-fraction of writes). checkpoint and
+                        producer-consumer honor --writers/--write-rounds/
+                        --request/--delay/--faults; mixed honors --request,
+                        --write-fraction and the machine flags, not
+                        --writers/--write-rounds/--delay/--faults. All three
+                        take --selfcheck and --trace
   --writers <n>         concurrent write-workload clients    (default 4)
   --write-rounds <n>    records per writer / handoff rounds  (default 8)
   --conflicting         checkpoint: all writers target the SAME record, so
@@ -395,6 +399,9 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
     opt.workload.attrs = attrs;
   }
   if (opt.write_workload) {
+    if (opt.write_workload->kind == WriteWorkloadKind::kMixed && !opt.workload.faults.empty()) {
+      throw CliError("--faults", "the mixed write workload takes no fault plan");
+    }
     // The shared flags (--request/--delay/--faults and the whole machine
     // shape) apply to write workloads too; copy them in last so flag order
     // does not matter.

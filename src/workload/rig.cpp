@@ -1,0 +1,202 @@
+#include "workload/rig.hpp"
+
+#include <algorithm>
+#include <span>
+#include <stdexcept>
+#include <utility>
+
+#include "sim/check/audit.hpp"
+#include "sim/frame_arena.hpp"
+#include "sim/when_all.hpp"
+#include "workload/generator.hpp"
+
+namespace ppfs::workload::detail {
+
+namespace {
+
+hw::MachineConfig machine_config(const MachineSpec& spec, Topology topology) {
+  hw::MachineConfig cfg =
+      topology == Topology::kParagon
+          ? hw::MachineConfig::paragon(spec.ncompute, spec.nio, spec.raid)
+          : hw::MachineConfig::paragon_scaled(spec.ncompute, spec.nio, spec.raid);
+  cfg.compute_cpu = spec.compute_cpu;
+  cfg.io_cpu = spec.io_cpu;
+  cfg.mesh.mtu = spec.mesh_mtu;
+  return cfg;
+}
+
+}  // namespace
+
+sim::Task<void> populate(pfs::PfsClient& loader, std::string name, std::uint64_t tag,
+                         ByteCount size) {
+  const int fd = co_await loader.open(name, pfs::IoMode::kAsync);
+  const ByteCount chunk = std::min<ByteCount>(size, 1024 * 1024);
+  std::vector<std::byte> buf(chunk);
+  for (ByteCount off = 0; off < size; off += chunk) {
+    const ByteCount n = std::min<ByteCount>(chunk, size - off);
+    if (tag != 0) fill_pattern(tag, off, std::span(buf).subspan(0, n));
+    co_await loader.write(fd, std::span<const std::byte>(buf).subspan(0, n));
+  }
+  loader.close(fd);
+}
+
+Rig::Rig(const MachineSpec& spec, Topology topology, int nclients, trace::TraceSink* sink)
+    : arena_base_(sim::FrameArena::local().reset_peak()),
+      machine_(sim_, machine_config(spec, topology)),
+      fs_(machine_, spec.pfs),
+      injector_(machine_, fs_) {
+  sim_.set_trace_sink(sink);
+  clients_.reserve(static_cast<std::size_t>(nclients));
+  for (int r = 0; r < nclients; ++r) {
+    clients_.push_back(std::make_unique<pfs::PfsClient>(fs_, r, r, nclients));
+  }
+}
+
+void Rig::attach_prefetchers(const prefetch::PrefetchConfig& cfg) {
+  for (auto& c : clients_) engines_.push_back(prefetch::attach_prefetcher(*c, cfg));
+}
+
+void Rig::run_populate(std::vector<sim::Task<void>> loads, const char* who) {
+  if (loads.empty()) return;
+  bool done = false;
+  // ppfs-lint: allow(ref-across-await) flag is a local; sim_.run() below blocks until done
+  sim_.spawn([](sim::Simulation& s, std::vector<sim::Task<void>> ts, bool& flag)
+                 -> sim::Task<void> {
+    co_await sim::when_all(s, std::move(ts));
+    flag = true;
+  }(sim_, std::move(loads), done));
+  sim_.run();
+  if (!done) throw std::runtime_error(std::string(who) + ": population deadlocked");
+}
+
+void Rig::start_phase(const fault::FaultPlan& plan) {
+  base_.clear();
+  for (const auto& c : clients_) {
+    const pfs::ClientStats& st = c->stats();
+    base_.push_back(Baseline{st.read_time, st.write_time, st.writes, st.bytes_written,
+                             c->rpc_stats().staged_bytes});
+  }
+  if (!plan.empty()) injector_.arm(plan, sim_.now());
+}
+
+void Rig::collect(RunCounters& res, std::uint64_t app_errors) {
+  for (std::size_t r = 0; r < clients_.size(); ++r) {
+    const pfs::PfsClient& c = *clients_[r];
+    const Baseline& b = base_[r];
+    const pfs::ClientStats& st = c.stats();
+    res.writes += st.writes - b.writes;
+    res.bytes_written += st.bytes_written - b.bytes_written;
+    const sim::SimTime rt = st.read_time - b.read_time;
+    res.node_read_time.push_back(rt);
+    res.max_node_read_time = std::max(res.max_node_read_time, rt);
+    res.max_node_write_time = std::max(res.max_node_write_time, st.write_time - b.write_time);
+
+    const pfs::RpcStats& rpc = c.rpc_stats();
+    res.staged_bytes += rpc.staged_bytes - b.staged_bytes;
+    res.data_rpcs += rpc.data_rpcs;
+    res.metadata_rpcs += rpc.metadata_rpcs;
+    res.pointer_rpcs += rpc.pointer_rpcs;
+    res.coalesced_rpcs += rpc.coalesced_rpcs;
+    res.coalesced_extents += rpc.coalesced_extents;
+    res.stripe_map_refreshes += rpc.stripe_map_refreshes;
+    res.faults.rpc_retries += rpc.retries;
+    res.faults.rpc_down_waits += rpc.down_waits;
+    res.faults.rpc_timeouts += rpc.timeouts;
+    res.faults.terminal_errors += rpc.terminal_errors;
+    res.faults.backoff_time += rpc.backoff_time;
+    res.faults.recovery_wait_time += rpc.recovery_wait_time;
+
+    res.token_rpcs += rpc.token_rpcs;
+    const pfs::TokenCacheStats& ts = c.token_stats();
+    res.token_local_grants += ts.local_grants;
+    res.token_revocations += ts.revocations;
+    res.token_invalidations += ts.invalidations;
+    res.wb_writes += ts.wb_writes;
+    res.wb_read_hits += ts.wb_read_hits;
+    res.wb_flush_ops += ts.flush_ops;
+    res.wb_flushed_bytes += ts.flushed_bytes;
+    res.wb_revocation_flushes += ts.revocation_flushes;
+    res.wb_fsync_flushes += ts.fsync_flushes;
+    res.wb_capacity_evictions += ts.capacity_evictions;
+    res.wb_peak_dirty_bytes = std::max(res.wb_peak_dirty_bytes, ts.peak_dirty_bytes);
+  }
+  res.observed_write_bw_mbs =
+      sim::megabytes_per_second(res.bytes_written, res.max_node_write_time);
+  for (const auto& e : engines_) {
+    const prefetch::PrefetchStats& st = e->stats();
+    res.prefetch.merge(st);
+    res.faults.shed_prefetches += st.shed;
+    res.faults.stale_epoch_discards += st.epoch_discarded;
+  }
+  res.faults.app_errors = app_errors;
+  res.faults.injected_events = static_cast<std::uint64_t>(injector_.injected());
+
+  res.token_grants = fs_.tokens().stats().grants;
+  res.token_splits = fs_.tokens().stats().splits;
+  // Token conservation: the manager's running grant ledger must equal the
+  // write bytes still outstanding in its table once the run drains.
+  sim::check::Auditor* audit = sim_.auditor();
+  if (audit) audit->check_token_conservation(sim_.now(), fs_.tokens().write_granted_bytes());
+
+  res.mesh_segmented_messages = machine_.mesh().segmented_messages();
+  res.mesh_segments = machine_.mesh().segments_sent();
+  res.top_links = machine_.mesh().top_busy_links(5);
+  for (int io = 0; io < fs_.server_count(); ++io) {
+    pfs::PfsServer& server = fs_.server(io);
+    res.server_batch_sweeps += server.batch_sweeps();
+    res.server_batched_extents += server.batched_extents();
+    hw::RaidArray& raid = machine_.raid(io);
+    res.faults.reconstructed_reads += raid.reconstructed_reads();
+    res.faults.degraded_writes += raid.degraded_writes();
+    for (std::size_t m = 0; m < raid.member_count(); ++m) {
+      res.faults.disk_transients += raid.member(m).transient_errors_fired();
+    }
+    if (auto* tier = server.ufs().cache_tier()) {
+      const auto& cs = tier->stats();
+      res.cache_lookups += cs.lookups;
+      res.cache_hits += cs.hits;
+      res.cache_inserts += cs.inserts;
+      res.cache_evictions += cs.evictions;
+      res.cache_journal_flushes += cs.journal_flushes;
+      res.cache_recoveries += cs.recoveries;
+      res.cache_recovered_blocks += cs.recovered_blocks;
+      res.cache_torn_dropped += cs.torn_entries_dropped;
+      res.cache_stale_dropped += cs.stale_entries_dropped;
+      res.cache_recovery_time += cs.total_recovery_time;
+      if (cs.recoveries > 0) {
+        // Warm-restart quality: only servers that actually replayed a
+        // journal contribute (an uncrashed node's hits are just tier hits).
+        res.cache_warm_lookups += cs.warm_lookups;
+        res.cache_warm_hits += cs.warm_hits;
+      }
+      res.faults.node_recoveries += cs.recoveries;
+      res.faults.node_recovery_time += cs.total_recovery_time;
+      // Every bit ever set in this tier is now resident or was accounted
+      // as cleared — the cache analogue of buffer conservation.
+      if (audit) {
+        audit->check_cache_bitmap_conservation(sim_.now(), tier, tier->resident_blocks());
+      }
+    }
+  }
+  res.cache_warm_hit_ratio = res.cache_warm_lookups
+                                 ? static_cast<double>(res.cache_warm_hits) /
+                                       static_cast<double>(res.cache_warm_lookups)
+                                 : 0.0;
+  // With the run drained, the fault ledger must balance: every manifested
+  // fault was healed by retry, repaired by reconstruction, or is terminal.
+  if (audit) audit->check_fault_conservation(sim_.now());
+
+  res.digest = sim_.digest();
+  res.events_dispatched = sim_.events_dispatched();
+  res.peak_pending_events = sim_.peak_pending_events();
+  res.event_queue_bytes = sim_.event_queue_bytes();
+  res.frame_arena_bytes = sim::FrameArena::local().stats().peak_live_bytes - arena_base_;
+  res.machine_state_bytes = machine_.state_memory_bytes();
+  res.bytes_per_event =
+      res.events_dispatched
+          ? static_cast<double>(res.event_queue_bytes + res.frame_arena_bytes) /
+                static_cast<double>(res.events_dispatched)
+          : 0.0;
+}
+
+}  // namespace ppfs::workload::detail

@@ -1,18 +1,12 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "hw/machine.hpp"
-#include "pfs/client.hpp"
-#include "pfs/filesystem.hpp"
 #include "sim/event.hpp"
-#include "sim/simulation.hpp"
-#include "sim/when_all.hpp"
 #include "workload/generator.hpp"
+#include "workload/rig.hpp"
 
 namespace ppfs::workload {
 
@@ -23,6 +17,9 @@ using sim::ByteCount;
 using sim::FileOffset;
 using sim::SimTime;
 using sim::Task;
+
+/// The pattern the replay file is populated with.
+constexpr std::uint64_t kTraceTag = 1;
 
 /// Smallest file covering every access of the trace (pointer semantics
 /// simulated per mode; dynamic-claim modes get the sum of all reads).
@@ -208,7 +205,7 @@ Task<void> rank_replay(sim::Simulation& sim, pfs::PfsClient& client,
     ++out.reads;
     out.end = sim.now();
     if (verify && got > 0 && offsets_are_static(mode) && mode != IoMode::kGlobal) {
-      if (find_pattern_mismatch(1, expect,
+      if (find_pattern_mismatch(kTraceTag, expect,
                                 std::span<const std::byte>(buf).subspan(0, got)) !=
           kNoMismatch) {
         ++out.verify_failures;
@@ -221,84 +218,52 @@ Task<void> rank_replay(sim::Simulation& sim, pfs::PfsClient& client,
 
 }  // namespace
 
-TraceReplayResult replay_trace(const MachineSpec& mspec, const AccessTrace& trace,
-                               bool prefetch_on, prefetch::PrefetchConfig prefetch_cfg,
-                               bool verify) {
+ExperimentResult replay_trace(const MachineSpec& mspec, const AccessTrace& trace,
+                              bool prefetch_on, prefetch::PrefetchConfig prefetch_cfg,
+                              bool verify) {
   if (trace.ranks > mspec.ncompute) {
     throw std::invalid_argument("replay_trace: trace has more ranks than compute nodes");
   }
   const ByteCount file_size = required_file_size(trace);
   if (file_size == 0) throw std::invalid_argument("replay_trace: empty trace");
 
-  sim::Simulation sim;
-  hw::MachineConfig mcfg = hw::MachineConfig::paragon(mspec.ncompute, mspec.nio, mspec.raid);
-  mcfg.compute_cpu = mspec.compute_cpu;
-  mcfg.io_cpu = mspec.io_cpu;
-  mcfg.mesh.mtu = mspec.mesh_mtu;
-  hw::Machine machine(sim, mcfg);
-  pfs::PfsFileSystem fs(machine, mspec.pfs);
-  fs.create("trace", fs.default_attrs());
-
-  std::vector<std::unique_ptr<pfs::PfsClient>> clients;
-  std::vector<std::unique_ptr<prefetch::PrefetchEngine>> engines;
-  for (int r = 0; r < trace.ranks; ++r) {
-    clients.push_back(std::make_unique<pfs::PfsClient>(fs, r, r, trace.ranks));
-    if (prefetch_on) {
-      engines.push_back(prefetch::attach_prefetcher(*clients[r], prefetch_cfg));
-    }
-  }
-
-  // Populate with the pattern (tag 1).
-  {
-    bool done = false;
-    // ppfs-lint: allow(ref-across-await) referents are locals; sim.run() below blocks until done
-    sim.spawn([](pfs::PfsClient& c, ByteCount size, bool& flag) -> Task<void> {
-      const int fd = co_await c.open("trace", IoMode::kAsync);
-      std::vector<std::byte> chunk(std::min<ByteCount>(size, 1024 * 1024));
-      for (ByteCount off = 0; off < size; off += chunk.size()) {
-        const ByteCount n = std::min<ByteCount>(chunk.size(), size - off);
-        fill_pattern(1, off, std::span(chunk).subspan(0, n));
-        co_await c.write(fd, std::span<const std::byte>(chunk).subspan(0, n));
-      }
-      c.close(fd);
-      flag = true;
-    }(*clients[0], file_size, done));
-    sim.run();
-    if (!done) throw std::runtime_error("replay_trace: population deadlocked");
-  }
-
-  std::vector<SimTime> base_read_time(trace.ranks);
-  for (int r = 0; r < trace.ranks; ++r) base_read_time[r] = clients[r]->stats().read_time;
+  detail::Rig rig(mspec, detail::Topology::kParagon, trace.ranks, nullptr);
+  rig.fs().create("trace");
+  if (prefetch_on) rig.attach_prefetchers(prefetch_cfg);
+  std::vector<Task<void>> loads;
+  loads.push_back(detail::populate(rig.client(0), "trace", kTraceTag, file_size));
+  rig.run_populate(std::move(loads), "replay_trace");
+  rig.start_phase({});
 
   // Split ops per rank, preserving order.
   std::vector<std::vector<TraceOp>> per_rank(trace.ranks);
   for (const TraceOp& op : trace.ops) per_rank[op.rank].push_back(op);
 
-  sim::Barrier start_line(sim, trace.ranks);
+  sim::Barrier start_line(rig.sim(), trace.ranks);
   std::vector<RankOutcome> outcomes(trace.ranks);
   for (int r = 0; r < trace.ranks; ++r) {
-    sim.spawn(rank_replay(sim, *clients[r], per_rank[r], trace.mode, start_line, verify,
-                          outcomes[r]));
+    rig.sim().spawn(rank_replay(rig.sim(), rig.client(r), per_rank[r], trace.mode,
+                                start_line, verify, outcomes[r]));
   }
-  sim.run();
+  rig.sim().run();
 
-  TraceReplayResult res;
+  ExperimentResult res;
+  res.spec.mode = trace.mode;
+  res.spec.prefetch = prefetch_on;
+  res.spec.prefetch_cfg = prefetch_cfg;
+  res.spec.verify = verify;
   SimTime t0 = sim::kTimeInfinity, t1 = 0;
-  for (int r = 0; r < trace.ranks; ++r) {
-    res.total_bytes += outcomes[r].bytes;
-    res.reads += outcomes[r].reads;
-    res.verify_failures += outcomes[r].verify_failures;
-    t0 = std::min(t0, outcomes[r].start);
-    t1 = std::max(t1, outcomes[r].end);
-    res.max_node_read_time = std::max(
-        res.max_node_read_time, clients[r]->stats().read_time - base_read_time[r]);
-    if (prefetch_on) res.prefetch.merge(engines[r]->stats());
+  for (const RankOutcome& o : outcomes) {
+    res.total_bytes += o.bytes;
+    res.reads += o.reads;
+    res.verify_failures += o.verify_failures;
+    t0 = std::min(t0, o.start);
+    t1 = std::max(t1, o.end);
   }
+  rig.collect(res, 0);
   res.wall_elapsed = t1 - t0;
   res.observed_read_bw_mbs =
       sim::megabytes_per_second(res.total_bytes, res.max_node_read_time);
-  res.digest = sim.digest();
-  res.events_dispatched = sim.events_dispatched();
   return res;
 }
 

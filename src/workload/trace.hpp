@@ -13,8 +13,8 @@
 //   0 read 65536 0.05      <- rank op length think_seconds
 //   1 read 65536 0
 //
-// replay_trace() runs a trace on a fresh machine and reports the same
-// metrics as Experiment::run.
+// replay_trace() runs a trace on a fresh machine and reports it in the
+// same result record as Experiment::run.
 #pragma once
 
 #include <string>
@@ -56,26 +56,14 @@ struct AccessTrace {
                              sim::ByteCount stride, sim::SimTime think);
 };
 
-struct TraceReplayResult {
-  sim::ByteCount total_bytes = 0;
-  std::uint64_t reads = 0;
-  sim::SimTime wall_elapsed = 0;
-  sim::SimTime max_node_read_time = 0;
-  double observed_read_bw_mbs = 0;
-  prefetch::PrefetchStats prefetch;  // summed across ranks (zero w/o engine)
-  std::uint64_t verify_failures = 0;
-  /// SimCheck determinism digest of the whole replay (populate + replay).
-  std::uint64_t digest = 0;
-  std::uint64_t events_dispatched = 0;
-};
-
 /// Replay a trace on a fresh machine. The backing PFS file is created and
 /// patterned large enough for every access; reads are verified when
 /// `verify` is set (only for traces whose reads are offset-determined:
-/// unique-pointer modes and M_RECORD).
-TraceReplayResult replay_trace(const MachineSpec& machine, const AccessTrace& trace,
-                               bool prefetch_on,
-                               prefetch::PrefetchConfig prefetch_cfg = {},
-                               bool verify = false);
+/// unique-pointer modes and M_RECORD). The result carries every shared
+/// counter plus total_bytes, reads, wall_elapsed, observed_read_bw_mbs and
+/// verify_failures; its latency sketch stays empty.
+ExperimentResult replay_trace(const MachineSpec& machine, const AccessTrace& trace,
+                              bool prefetch_on, prefetch::PrefetchConfig prefetch_cfg = {},
+                              bool verify = false);
 
 }  // namespace ppfs::workload

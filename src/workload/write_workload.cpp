@@ -1,19 +1,14 @@
 #include "workload/write_workload.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fault/error.hpp"
-#include "fault/injector.hpp"
-#include "pfs/client.hpp"
-#include "pfs/filesystem.hpp"
 #include "sim/event.hpp"
-#include "sim/frame_arena.hpp"
-#include "sim/simulation.hpp"
 #include "workload/generator.hpp"
+#include "workload/rig.hpp"
 
 namespace ppfs::workload {
 
@@ -209,52 +204,34 @@ Task<void> consumer_proc(const WriteWorkloadSpec& spec, pfs::PfsClient& client,
   client.close(fd);
 }
 
-ExperimentResult run_rounds(const WriteWorkloadSpec& spec) {
+ExperimentResult run_rounds(const WriteWorkloadSpec& spec, trace::TraceSink* sink) {
   const int W = spec.writers;
-  const MachineSpec& m = spec.machine;
-  if (W > m.ncompute) {
+  if (W > spec.machine.ncompute) {
     throw std::invalid_argument("write-workload: writers exceed compute nodes");
   }
   if (spec.kind == WriteWorkloadKind::kProducerConsumer && W < 2) {
     throw std::invalid_argument("write-workload: producer-consumer needs >= 2 clients");
   }
 
-  // The arena's high-water restarts here, so frame_arena_bytes is this
-  // run's own peak, whatever ran on the thread before.
-  const std::uint64_t arena_base = sim::FrameArena::local().reset_peak();
-  sim::Simulation sim;
-  hw::MachineConfig mcfg = hw::MachineConfig::paragon(m.ncompute, m.nio, m.raid);
-  mcfg.compute_cpu = m.compute_cpu;
-  mcfg.io_cpu = m.io_cpu;
-  mcfg.mesh.mtu = m.mesh_mtu;
-  hw::Machine machine(sim, mcfg);
-  pfs::PfsParams params = m.pfs;
-  params.write_tokens = true;  // the whole point of these workloads
-  pfs::PfsFileSystem fs(machine, params);
-  fs.create(spec.kind == WriteWorkloadKind::kCheckpoint ? "ckpt" : "stream");
+  MachineSpec m = spec.machine;
+  m.pfs.write_tokens = true;  // the whole point of these workloads
+  detail::Rig rig(m, detail::Topology::kParagon, W, sink);
+  rig.fs().create(spec.kind == WriteWorkloadKind::kCheckpoint ? "ckpt" : "stream");
+  rig.start_phase(spec.faults);
 
-  std::vector<std::unique_ptr<pfs::PfsClient>> clients;
-  clients.reserve(static_cast<std::size_t>(W));
-  for (int c = 0; c < W; ++c) {
-    clients.push_back(std::make_unique<pfs::PfsClient>(fs, c, c, W));
-  }
-
-  fault::FaultInjector injector(machine, fs);
-  if (!spec.faults.empty()) injector.arm(spec.faults, sim.now());
-
-  sim::Barrier round_line(sim, static_cast<std::size_t>(W));
+  sim::Barrier round_line(rig.sim(), static_cast<std::size_t>(W));
   std::vector<WriterOutcome> outcomes(static_cast<std::size_t>(W));
   for (int c = 0; c < W; ++c) {
     const auto i = static_cast<std::size_t>(c);
     if (spec.kind == WriteWorkloadKind::kCheckpoint) {
-      sim.spawn(checkpoint_proc(spec, *clients[i], round_line, outcomes[i], c));
+      rig.sim().spawn(checkpoint_proc(spec, rig.client(c), round_line, outcomes[i], c));
     } else if (c == 0) {
-      sim.spawn(producer_proc(spec, *clients[i], round_line, outcomes[i]));
+      rig.sim().spawn(producer_proc(spec, rig.client(c), round_line, outcomes[i]));
     } else {
-      sim.spawn(consumer_proc(spec, *clients[i], round_line, outcomes[i]));
+      rig.sim().spawn(consumer_proc(spec, rig.client(c), round_line, outcomes[i]));
     }
   }
-  sim.run();
+  rig.sim().run();
 
   ExperimentResult res;
   res.spec.name = to_string(spec.kind);
@@ -263,6 +240,7 @@ ExperimentResult run_rounds(const WriteWorkloadSpec& spec) {
   res.spec.compute_delay = spec.compute_delay;
   res.spec.verify = spec.verify;
   res.spec.faults = spec.faults;
+  std::uint64_t app_errors = 0;
   SimTime t0 = sim::kTimeInfinity, t1 = 0;
   for (int c = 0; c < W; ++c) {
     const auto& o = outcomes[static_cast<std::size_t>(c)];
@@ -277,58 +255,22 @@ ExperimentResult run_rounds(const WriteWorkloadSpec& spec) {
     res.reads += o.reads;
     res.total_bytes += o.bytes_read;
     res.verify_failures += o.verify_failures;
-    res.faults.app_errors += o.app_errors;
+    app_errors += o.app_errors;
+    // perfbench's checkpoint_write reads its write-call latencies here.
     res.read_latencies.merge(o.write_latencies);
     t0 = std::min(t0, o.start);
     t1 = std::max(t1, o.end);
-    const SimTime wt = clients[static_cast<std::size_t>(c)]->stats().write_time;
-    res.node_read_time.push_back(wt);
-    const auto& rpc = clients[static_cast<std::size_t>(c)]->rpc_stats();
-    res.data_rpcs += rpc.data_rpcs;
-    res.metadata_rpcs += rpc.metadata_rpcs;
-    res.pointer_rpcs += rpc.pointer_rpcs;
-    res.coalesced_rpcs += rpc.coalesced_rpcs;
-    res.coalesced_extents += rpc.coalesced_extents;
-    res.stripe_map_refreshes += rpc.stripe_map_refreshes;
-    res.staged_bytes += rpc.staged_bytes;
-    res.faults.rpc_retries += rpc.retries;
-    res.faults.rpc_down_waits += rpc.down_waits;
-    res.faults.rpc_timeouts += rpc.timeouts;
-    res.faults.terminal_errors += rpc.terminal_errors;
-    res.faults.backoff_time += rpc.backoff_time;
-    res.faults.recovery_wait_time += rpc.recovery_wait_time;
-    accumulate_token_stats(res, *clients[static_cast<std::size_t>(c)]);
   }
-  res.faults.injected_events = static_cast<std::uint64_t>(injector.injected());
-  res.token_grants = fs.tokens().stats().grants;
-  res.token_splits = fs.tokens().stats().splits;
+  rig.collect(res, app_errors);
   res.wall_elapsed = t1 > t0 ? t1 - t0 : 0;
-  res.observed_write_bw_mbs =
-      sim::megabytes_per_second(res.bytes_written, res.max_node_write_time);
   res.wall_bw_mbs = sim::megabytes_per_second(res.bytes_written, res.wall_elapsed);
-  res.mesh_segmented_messages = machine.mesh().segmented_messages();
-  res.mesh_segments = machine.mesh().segments_sent();
-  res.top_links = machine.mesh().top_busy_links(5);
-  if (auto* a = sim.auditor()) {
-    a->check_token_conservation(sim.now(), fs.tokens().write_granted_bytes());
-    // With the run drained, every manifested fault was healed by retry,
-    // repaired by reconstruction, or is terminal.
-    a->check_fault_conservation(sim.now());
-  }
-  res.digest = sim.digest();
-  res.events_dispatched = sim.events_dispatched();
-  res.peak_pending_events = sim.peak_pending_events();
-  res.event_queue_bytes = sim.event_queue_bytes();
-  res.frame_arena_bytes = sim::FrameArena::local().stats().peak_live_bytes - arena_base;
-  res.bytes_per_event =
-      res.events_dispatched
-          ? static_cast<double>(res.event_queue_bytes + res.frame_arena_bytes) /
-                static_cast<double>(res.events_dispatched)
-          : 0.0;
   return res;
 }
 
-ExperimentResult run_mixed(const WriteWorkloadSpec& spec) {
+ExperimentResult run_mixed(const WriteWorkloadSpec& spec, trace::TraceSink* sink) {
+  if (!spec.faults.empty()) {
+    throw std::invalid_argument("write-workload: mixed takes no fault plan");
+  }
   MachineSpec m = spec.machine;
   m.pfs.write_tokens = true;
   OpenArrivalSpec oa;
@@ -337,40 +279,18 @@ ExperimentResult run_mixed(const WriteWorkloadSpec& spec) {
   oa.request_size = spec.request_size;
   oa.seed = spec.seed;
   oa.write_fraction = spec.write_fraction;
-  const OpenArrivalResult r = run_open_arrival(m, oa);
+  const OpenArrivalResult r = run_open_arrival(m, oa, sink);
 
   ExperimentResult res;
+  static_cast<RunCounters&>(res) = r;
   res.spec.name = to_string(spec.kind);
   res.spec.mode = IoMode::kAsync;
   res.spec.request_size = spec.request_size;
-  res.reads = r.completed - r.writes_completed;
+  res.reads = r.completed - r.writes;
   res.total_bytes = r.total_bytes;
-  res.writes = r.writes_completed;
-  res.bytes_written = r.bytes_written;
-  res.faults.app_errors = r.app_errors;
   res.wall_elapsed = r.sim_elapsed;
   res.wall_bw_mbs = r.wall_bw_mbs;
   res.read_latencies = r.latencies;
-  res.token_rpcs = r.token_rpcs;
-  res.token_local_grants = r.token_local_grants;
-  res.token_grants = r.token_grants;
-  res.token_revocations = r.token_revocations;
-  res.token_splits = r.token_splits;
-  res.token_invalidations = r.token_invalidations;
-  res.wb_writes = r.wb_writes;
-  res.wb_read_hits = r.wb_read_hits;
-  res.wb_flush_ops = r.wb_flush_ops;
-  res.wb_flushed_bytes = r.wb_flushed_bytes;
-  res.wb_revocation_flushes = r.wb_revocation_flushes;
-  res.wb_fsync_flushes = r.wb_fsync_flushes;
-  res.wb_capacity_evictions = r.wb_capacity_evictions;
-  res.wb_peak_dirty_bytes = r.wb_peak_dirty_bytes;
-  res.digest = r.digest;
-  res.events_dispatched = r.events_dispatched;
-  res.peak_pending_events = r.peak_pending_events;
-  res.event_queue_bytes = r.event_queue_bytes;
-  res.frame_arena_bytes = r.frame_arena_bytes;
-  res.bytes_per_event = r.bytes_per_event;
   return res;
 }
 
@@ -385,18 +305,18 @@ const char* to_string(WriteWorkloadKind k) noexcept {
   return "?";
 }
 
-ExperimentResult run_write_workload(const WriteWorkloadSpec& spec) {
+ExperimentResult run_write_workload(const WriteWorkloadSpec& spec, trace::TraceSink* sink) {
   if (spec.request_size == 0) {
     throw std::invalid_argument("write-workload: zero request size");
   }
-  if (spec.kind == WriteWorkloadKind::kMixed) return run_mixed(spec);
+  if (spec.kind == WriteWorkloadKind::kMixed) return run_mixed(spec, sink);
   if (spec.rounds == 0) {
     throw std::invalid_argument("write-workload: zero rounds");
   }
   if (spec.writers < 1) {
     throw std::invalid_argument("write-workload: writers < 1");
   }
-  return run_rounds(spec);
+  return run_rounds(spec, sink);
 }
 
 }  // namespace ppfs::workload

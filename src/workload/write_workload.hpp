@@ -15,6 +15,10 @@
 //                      make their byte-exact verification pass.
 //   kMixed             multi-tenant open-arrival traffic with a write
 //                      fraction (rides run_open_arrival), fsync-on-close.
+//                      It honors request_size, write_fraction, tenants,
+//                      requests_per_client, seed and the machine; writers,
+//                      rounds and compute_delay do not apply, and a fault
+//                      plan is refused.
 //
 // All three force PfsParams::write_tokens on. Deterministic: same spec,
 // same digest (ppfs_run --selfcheck works on write workloads too).
@@ -48,6 +52,7 @@ struct WriteWorkloadSpec {
   /// revocation flushes, like kProducerConsumer always does).
   bool fsync_each_round = true;
   SimTime compute_delay = 0;
+  /// kCheckpoint/kProducerConsumer only: armed at the start of the rounds.
   fault::FaultPlan faults;
   /// kMixed knobs (forwarded into OpenArrivalSpec).
   double write_fraction = 0.5;
@@ -58,7 +63,11 @@ struct WriteWorkloadSpec {
 
 /// Run one write workload on a freshly-built machine; write_tokens is
 /// forced on. Returns the standard result record with the token/write
-/// block populated (read fields cover the verification reads).
-ExperimentResult run_write_workload(const WriteWorkloadSpec& spec);
+/// block populated (read fields cover the verification reads;
+/// read_latencies holds the write-call latencies). `sink` (may be null)
+/// traces the whole run. Throws std::invalid_argument on a bad spec,
+/// including kMixed with a non-empty fault plan.
+ExperimentResult run_write_workload(const WriteWorkloadSpec& spec,
+                                    trace::TraceSink* sink = nullptr);
 
 }  // namespace ppfs::workload

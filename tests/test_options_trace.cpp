@@ -147,6 +147,19 @@ TEST(ParseCli, TraceFlags) {
   EXPECT_THROW(parse_cli({"--trace-last", "many"}), CliError);
 }
 
+TEST(ParseCli, MixedWriteWorkloadRefusesFaults) {
+  // The mixed workload has no fault plan to arm: --faults is refused
+  // instead of printed and then ignored, in either flag order.
+  try {
+    parse_cli({"--write-workload", "mixed", "--faults", "crash:io=1,at=0.1,outage=0.15"});
+    FAIL() << "expected CliError";
+  } catch (const CliError& e) {
+    EXPECT_EQ(e.flag(), "--faults");
+  }
+  EXPECT_THROW(parse_cli({"--faults", "seed=42", "--write-workload", "mixed"}), CliError);
+  EXPECT_NO_THROW(parse_cli({"--write-workload", "checkpoint", "--faults", "seed=42"}));
+}
+
 TEST(ParseCli, HelpFlag) {
   EXPECT_TRUE(parse_cli({"--help"}).show_help);
   EXPECT_FALSE(cli_usage().empty());

@@ -187,7 +187,7 @@ TEST(ScaleSmoke, OpenArrivalCompletesWithBoundedFootprint) {
   // Every arrival was issued and (no faults armed) completed.
   EXPECT_EQ(r.issued, 64u * 8u);
   EXPECT_EQ(r.completed, r.issued);
-  EXPECT_EQ(r.app_errors, 0u);
+  EXPECT_EQ(r.faults.app_errors, 0u);
   EXPECT_EQ(r.total_bytes, r.completed * smoke_spec().request_size);
   EXPECT_GT(r.sim_elapsed, 0.0);
   EXPECT_EQ(r.latencies.count(), r.issued);

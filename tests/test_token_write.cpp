@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "fault/plan.hpp"
 #include "hw/machine.hpp"
 #include "pfs/client.hpp"
 #include "pfs/filesystem.hpp"
@@ -437,6 +438,18 @@ TEST(WriteWorkload, MixedTenancyRunsClean) {
   EXPECT_GT(r.writes, 0u);
   EXPECT_GT(r.reads, 0u);
   EXPECT_GT(r.token_rpcs, 0u);
+  // The stack counters reach mixed runs too.
+  EXPECT_GT(r.data_rpcs, 0u);
+  EXPECT_FALSE(r.top_links.empty());
+}
+
+TEST(WriteWorkload, MixedRefusesFaultPlan) {
+  // Open-arrival tenants have no fault plan to arm, so a plan given to the
+  // mixed workload would change nothing; the driver refuses it instead.
+  WriteWorkloadSpec spec;
+  spec.kind = WriteWorkloadKind::kMixed;
+  spec.faults = fault::parse_plan("crash:io=1,at=0.1,outage=0.15");
+  EXPECT_THROW((void)run_write_workload(spec), std::invalid_argument);
 }
 
 TEST(WriteWorkload, DeterministicDigests) {

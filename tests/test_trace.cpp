@@ -19,6 +19,7 @@
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
 #include "workload/experiment.hpp"
+#include "workload/write_workload.hpp"
 
 namespace ppfs {
 namespace {
@@ -88,6 +89,24 @@ TEST(TraceNeutrality, TracedAndUntracedRunsMatchBitForBit) {
   EXPECT_EQ(off.total_bytes, on.total_bytes);
   EXPECT_EQ(off.wall_elapsed, on.wall_elapsed);
   EXPECT_EQ(on.verify_failures, 0u);
+}
+
+TEST(TraceNeutrality, TracedCheckpointMatchesAndCountsTokenRpcs) {
+  workload::WriteWorkloadSpec w;
+  w.kind = workload::WriteWorkloadKind::kCheckpoint;
+  w.writers = 4;
+  w.rounds = 4;
+  const ExperimentResult off = workload::run_write_workload(w);
+  TraceSink sink;
+  const ExperimentResult on = workload::run_write_workload(w, &sink);
+  EXPECT_EQ(off.digest, on.digest);
+  EXPECT_EQ(off.events_dispatched, on.events_dispatched);
+  EXPECT_EQ(on.verify_failures, 0u);
+  // One token span per acquisition that reached the manager, the same
+  // count the report's token_rpcs gives.
+  EXPECT_GT(on.token_rpcs, 0u);
+  EXPECT_EQ(count(sink, TraceTrack::kRpc, TraceKind::kSpanBegin, trace::code::kRpcToken),
+            on.token_rpcs);
 }
 
 // --- per-track consistency with the report's counters -----------------------

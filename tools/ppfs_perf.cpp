@@ -570,10 +570,10 @@ int main(int argc, char** argv) {
     std::printf("scale   %-10s %9llu reads  %9.0f events/s  %6.1f B/event  p95 %.3fs\n",
                 row.name, (unsigned long long)r.completed, eps, r.bytes_per_event,
                 r.latencies.percentile(95));
-    if (r.completed != r.issued || r.app_errors != 0) {
+    if (r.completed != r.issued || r.faults.app_errors != 0) {
       std::fprintf(stderr, "ppfs_perf: scale row %s lost requests (%llu/%llu, %llu errors)\n",
                    row.name, (unsigned long long)r.completed,
-                   (unsigned long long)r.issued, (unsigned long long)r.app_errors);
+                   (unsigned long long)r.issued, (unsigned long long)r.faults.app_errors);
       scale_ok = false;
     }
     if (args.min_scale_events_per_sec > 0 && eps < args.min_scale_events_per_sec) {

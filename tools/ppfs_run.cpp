@@ -184,17 +184,18 @@ void print_write_result(const char* label, const ExperimentResult& r) {
 }
 
 /// --selfcheck for write workloads: identical spec twice, digests must match.
-bool selfcheck_write(const WriteWorkloadSpec& spec, const char* label) {
+int selfcheck_write(const WriteWorkloadSpec& spec) {
   const auto r1 = run_write_workload(spec);
   const auto r2 = run_write_workload(spec);
   const bool ok = r1.digest == r2.digest && r1.events_dispatched == r2.events_dispatched &&
                   r1.bytes_written == r2.bytes_written && r1.reads == r2.reads &&
                   r1.wall_elapsed == r2.wall_elapsed;
-  std::printf("%-16s digest %016llx / %016llx  events %llu / %llu : %s\n", label,
+  std::printf("%-16s digest %016llx / %016llx  events %llu / %llu : %s\n", "write:",
               (unsigned long long)r1.digest, (unsigned long long)r2.digest,
               (unsigned long long)r1.events_dispatched,
               (unsigned long long)r2.events_dispatched, ok ? "IDENTICAL" : "DIVERGED");
-  return ok;
+  std::printf("selfcheck: %s\n", ok ? "PASS" : "FAIL (nondeterminism detected)");
+  return ok ? 0 : 1;
 }
 
 /// The exit status of every mode that runs workloads, folded over all of
@@ -224,8 +225,12 @@ struct ExitStatus {
   }
 };
 
-int run_write_mode(const CliOptions& opt) {
-  const WriteWorkloadSpec& spec = *opt.write_workload;
+void print_write_header(const WriteWorkloadSpec& spec) {
+  if (spec.kind == WriteWorkloadKind::kMixed) {
+    std::printf("write-workload: mixed, %d tenants, request %s, write fraction %.2f\n\n",
+                spec.tenants, fmt_bytes(spec.request_size).c_str(), spec.write_fraction);
+    return;
+  }
   std::printf("write-workload: %s, %d writers, request %s, rounds %llu%s%s\n\n",
               to_string(spec.kind), spec.writers, fmt_bytes(spec.request_size).c_str(),
               (unsigned long long)spec.rounds,
@@ -234,14 +239,6 @@ int run_write_mode(const CliOptions& opt) {
   if (!spec.faults.empty()) {
     std::printf("faults:   %s\n\n", spec.faults.summary().c_str());
   }
-  if (opt.selfcheck) {
-    const bool ok = selfcheck_write(spec, "write:");
-    std::printf("selfcheck: %s\n", ok ? "PASS" : "FAIL (nondeterminism detected)");
-    return ok ? 0 : 1;
-  }
-  const ExperimentResult r = run_write_workload(spec);
-  print_write_result("write:", r);
-  return ExitStatus{}.add(r).code();
 }
 
 /// True when the run ended with faults the stack could NOT absorb: a retry
@@ -342,6 +339,34 @@ void dump_trace(const trace::TraceSink& sink, const CliOptions& opt, bool gave_u
   }
 }
 
+/// One plain run, read or write workload, traced when --trace is given.
+int run_single(const Experiment& exp, const CliOptions& opt) {
+  trace::TraceSink sink(opt.trace_last);
+  trace::TraceSink* sinkp = opt.trace_path.empty() ? nullptr : &sink;
+  ExperimentResult r;
+  try {
+    r = opt.write_workload ? run_write_workload(*opt.write_workload, sinkp)
+                           : exp.run(opt.workload, sinkp);
+  } catch (...) {
+    // The sink outlives the simulation: even when the run dies on an
+    // unrecovered fault, the trace collected so far is written out.
+    if (sinkp) dump_trace(sink, opt, /*gave_up=*/true);
+    throw;
+  }
+  if (opt.write_workload) {
+    print_write_result("write:", r);
+  } else {
+    print_result(opt.workload.prefetch ? "prefetch:" : "no prefetch:", r);
+  }
+  if (sinkp) {
+    dump_trace(sink, opt, fault_gave_up(r));
+    std::printf("\n%s", trace::format_metrics(
+                            trace::compute_metrics(trace::snapshot(sink)))
+                            .c_str());
+  }
+  return ExitStatus{}.add(r).code();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -376,7 +401,9 @@ int main(int argc, char** argv) {
                 opt.machine.raid.disk.scheduler == hw::DiskSched::kElevator ? "elevator"
                                                                             : "FIFO");
     if (opt.write_workload) {
-      return run_write_mode(opt);
+      print_write_header(*opt.write_workload);
+      if (opt.selfcheck) return selfcheck_write(*opt.write_workload);
+      return run_single(exp, opt);
     }
     std::printf("workload: %s, request %s, file %s, delay %.3fs%s%s\n\n",
                 std::string(pfs::to_string(opt.workload.mode)).c_str(),
@@ -418,25 +445,7 @@ int main(int argc, char** argv) {
                       .c_str());
       return ExitStatus{}.add(r_off).add(r_on).code();
     }
-    trace::TraceSink sink(opt.trace_last);
-    trace::TraceSink* sinkp = opt.trace_path.empty() ? nullptr : &sink;
-    ExperimentResult r;
-    try {
-      r = exp.run(opt.workload, sinkp);
-    } catch (...) {
-      // The sink outlives the simulation: even when the run dies on an
-      // unrecovered fault, the trace collected so far is written out.
-      if (sinkp) dump_trace(sink, opt, /*gave_up=*/true);
-      throw;
-    }
-    print_result(opt.workload.prefetch ? "prefetch:" : "no prefetch:", r);
-    if (sinkp) {
-      dump_trace(sink, opt, fault_gave_up(r));
-      std::printf("\n%s", trace::format_metrics(
-                              trace::compute_metrics(trace::snapshot(sink)))
-                              .c_str());
-    }
-    return ExitStatus{}.add(r).code();
+    return run_single(exp, opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
