@@ -15,10 +15,13 @@
 //               mode-aware and single-stride predictors; the list-I/O
 //               period detector is the only member that locks on.
 //
-// The gated claims (enforced by ppfs_perf --prefetch): adaptive beats
-// fixed-1 by >= 1.15x on the sequential row and >= 1.3x on the pattern
-// rows, while keeping the useful-prefetch ratio >= 0.8 (speculation must
-// pay for itself, not just spray buffers).
+// Gated on the full grid: adaptive beats fixed-1 by >= 1.15x on the
+// sequential row and >= 1.3x on the worst pattern row, while keeping the
+// useful-prefetch ratio >= 0.8 (speculation must pay for itself, not just
+// spray buffers). The --quick grid is too short for the controller to
+// ramp (1.13x sequential, 0.76 useful), so it gates only the digests:
+// with --jobs N > 1 every scenario, adaptive depth included, must
+// reproduce its serial digest.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -30,6 +33,90 @@ namespace {
 using namespace ppfs;
 using namespace ppfs::bench;
 
+constexpr double kMinSequentialSpeedup = 1.15;
+constexpr double kMinPatternSpeedup = 1.3;
+constexpr double kMinUsefulRatio = 0.8;
+
+struct AdaptaConfig {
+  const char* name;
+  std::size_t depth;   // fixed readahead depth (starting depth when adaptive)
+  bool adaptive;       // AdaptaFetch controller + ensemble predictor
+};
+
+constexpr AdaptaConfig kAdaptaConfigs[] = {
+    {"fixed-1", 1, false},   // the paper's one-ahead prototype
+    {"fixed-4", 4, false},   // deeper but still open-loop
+    {"adaptive", 1, true},   // feedback-driven, ensemble, max depth 8
+};
+constexpr std::size_t kAdaptaConfigCount =
+    sizeof kAdaptaConfigs / sizeof kAdaptaConfigs[0];
+
+struct AdaptaRow {
+  const char* name;
+  workload::AccessPattern pattern;
+  pfs::IoMode mode;
+  sim::SimTime compute_delay;
+  std::uint64_t reads_per_node;   // full run; --quick halves this
+};
+
+constexpr AdaptaRow kAdaptaRows[] = {
+    {"sequential", workload::AccessPattern::kInterleaved, pfs::IoMode::kRecord,
+     0.002, 64},
+    {"strided", workload::AccessPattern::kStrided, pfs::IoMode::kAsync, 0.004, 64},
+    {"listio", workload::AccessPattern::kListIo, pfs::IoMode::kAsync, 0.004, 64},
+};
+constexpr std::size_t kAdaptaRowCount = sizeof kAdaptaRows / sizeof kAdaptaRows[0];
+
+workload::WorkloadSpec adapta_spec(const AdaptaRow& row, const AdaptaConfig& cfg,
+                                   bool quick) {
+  constexpr sim::ByteCount kReq = 64 * 1024;
+  const int n = workload::MachineSpec{}.ncompute;
+  const std::uint64_t reads = quick ? row.reads_per_node / 2 : row.reads_per_node;
+
+  workload::WorkloadSpec w;
+  w.mode = row.mode;
+  w.pattern = row.pattern;
+  w.request_size = kReq;
+  w.compute_delay = row.compute_delay;
+  w.prefetch = true;
+  w.prefetch_cfg.depth = cfg.depth;
+  w.prefetch_cfg.adaptive_depth = cfg.adaptive;
+  w.prefetch_cfg.max_depth = 8;
+  if (cfg.adaptive) w.prefetch_cfg.predictor = prefetch::PredictorKind::kEnsemble;
+
+  switch (row.pattern) {
+    case workload::AccessPattern::kStrided:
+      w.stride = 4;
+      // reads/node = file / (req * n * stride)
+      w.file_size = kReq * n * w.stride * reads;
+      break;
+    case workload::AccessPattern::kListIo: {
+      w.listio_extents = 4;
+      // reads/node = (share / frame) * extents; pick share an exact frame
+      // multiple so nothing is truncated.
+      const sim::ByteCount frames = reads / w.listio_extents;
+      w.file_size = workload::listio_frame_bytes(w) * frames * n;
+      break;
+    }
+    default:
+      w.file_size = kReq * n * reads;
+      break;
+  }
+  return w;
+}
+
+/// The full pattern x config sweep, row-major (configs inner).
+std::vector<exp::SweepJob> adapta_jobs(bool quick) {
+  std::vector<exp::SweepJob> jobs;
+  for (const AdaptaRow& row : kAdaptaRows) {
+    for (const AdaptaConfig& cfg : kAdaptaConfigs) {
+      jobs.push_back({std::string(row.name) + " " + cfg.name, workload::MachineSpec{},
+                      adapta_spec(row, cfg, quick)});
+    }
+  }
+  return jobs;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -40,7 +127,9 @@ int main(int argc, char** argv) {
          "adaptive >= 1.15x fixed-1 on sequential 8x8 and >= 1.3x on the "
          "strided / list-I/O rows, with useful-prefetch ratio >= 0.8");
 
-  const auto report = exp::run_sweep(adapta_jobs(args.quick), args.jobs);
+  Gate gate(!args.quick);
+  const auto grid = run_grid(adapta_jobs(args.quick), args.jobs, gate);
+  const auto& report = grid.serial;
   if (!report.all_ok()) return finish_sweep(report);
 
   TextTable table({"Pattern", "Config", "Read B/W (MB/s)", "vs fixed-1", "Hit ratio",
@@ -94,23 +183,23 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\n" << table.str();
-  std::printf("\nadaptive vs fixed-1: sequential %.2fx, strided %.2fx, listio %.2fx\n",
+  std::printf("\nadaptive vs fixed-1: sequential %.2fx, strided %.2fx, listio %.2fx\n\n",
               speedups[0], speedups[1], speedups[2]);
-  std::printf("worst adaptive useful-prefetch ratio: %.1f%%\n", min_useful * 100);
-  std::printf("sweep: %zu scenarios, %d worker%s, %.3fs wall\n", report.outcomes.size(),
-              report.jobs, report.jobs == 1 ? "" : "s", report.seconds);
+  gate.at_least("adaptive vs fixed-1, sequential", speedups[0], kMinSequentialSpeedup);
+  gate.at_least("adaptive vs fixed-1, worst pattern", std::min(speedups[1], speedups[2]),
+                kMinPatternSpeedup);
+  gate.at_least("adaptive useful-prefetch ratio, worst row", min_useful, kMinUsefulRatio);
 
   if (!args.json_path.empty()) {
-    JsonObject doc;
-    doc.field("bench", "ablation_adaptive")
-        .field("jobs", report.jobs)
-        .field("wall_seconds", report.seconds)
-        .field("sequential_speedup", speedups[0])
+    JsonObject doc = bench_doc("ablation_adaptive", args.quick);
+    grid.stamp(doc);
+    gate.stamp(doc);
+    doc.field("sequential_speedup", speedups[0])
         .field("strided_speedup", speedups[1])
         .field("listio_speedup", speedups[2])
         .field("min_useful_ratio", min_useful)
         .raw("rows", rows.str());
     write_json_file(args.json_path, doc.str());
   }
-  return 0;
+  return gate.exit_code();
 }

@@ -1,9 +1,11 @@
 // Shared helpers for the paper-reproduction benches: the banner/table
-// conventions, a common --jobs/--json/--quick argument parser, and the
-// JSON result emitter every bench and the ppfs_perf harness use to write
-// machine-readable BENCH_*.json artifacts.
+// conventions, a common --jobs/--json/--quick argument parser, the JSON
+// emitter that writes the machine-readable BENCH_*.json artifacts with
+// their build provenance, and the gate and grid runner of the gated
+// benches.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -12,11 +14,11 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "exp/sweep.hpp"
 #include "workload/experiment.hpp"
-#include "workload/open_arrival.hpp"
 #include "workload/report.hpp"
 
 namespace ppfs::bench {
@@ -136,6 +138,39 @@ inline JsonObject outcome_json(const exp::SweepOutcome& o) {
   return row;
 }
 
+/// A BENCH_*.json document: the bench's name, then the build and host that
+/// measured it. A host-time figure from a Debug or SimCheck build, or from
+/// a one-core machine, says nothing about a Release build on four cores.
+/// PPFS_BUILD_TYPE comes from bench/CMakeLists.txt.
+inline JsonObject bench_doc(std::string_view bench, bool quick) {
+#if defined(NDEBUG)
+  constexpr bool ndebug = true;
+#else
+  constexpr bool ndebug = false;
+#endif
+#if defined(PPFS_SIMCHECK)
+  constexpr bool simcheck = true;
+#else
+  constexpr bool simcheck = false;
+#endif
+#if defined(__clang__)
+  constexpr const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  constexpr const char* compiler = "gcc " __VERSION__;
+#else
+  constexpr const char* compiler = "unknown";
+#endif
+  JsonObject doc;
+  doc.field("bench", std::string(bench))
+      .field("build_type", PPFS_BUILD_TYPE)
+      .field("ndebug", ndebug)
+      .field("simcheck", simcheck)
+      .field("compiler", compiler)
+      .field("hardware_concurrency", static_cast<int>(std::thread::hardware_concurrency()))
+      .field("quick", quick);
+  return doc;
+}
+
 /// Write `text` to `path`; exits the bench with an error on failure so CI
 /// never uploads a half-written artifact.
 inline void write_json_file(const std::string& path, const std::string& text) {
@@ -187,6 +222,127 @@ inline int finish_sweep(const exp::SweepReport& report) {
   return report.all_ok() ? 0 : 1;
 }
 
+// ---------------------------------------------------------------------------
+// Gates. A gated bench exits nonzero when one of its claims fails. Checks
+// (digests agree between runs, every byte verifies, every row completes)
+// hold on any grid and fail every run. Floors and ceilings (a speedup, a
+// ratio, a host rate) are set for the full grid, so a bench whose --quick
+// grid falls short of them prints them there as not gated.
+
+class Gate {
+ public:
+  /// `bounds_gated`: this run's grid is one the floors and ceilings are
+  /// set for.
+  explicit Gate(bool bounds_gated) : bounds_gated_(bounds_gated) {}
+
+  void check(const std::string& what, bool ok) {
+    std::printf("gate  %-50s %s\n", what.c_str(), ok ? "PASS" : "FAIL");
+    JsonObject g;
+    g.field("name", what).field("gated", true).field("pass", ok);
+    gates_.add(g);
+    pass_ = pass_ && ok;
+  }
+  void at_least(const std::string& what, double value, double floor) {
+    bound(what, value, ">=", floor, value >= floor);
+  }
+  void at_most(const std::string& what, double value, double ceiling) {
+    bound(what, value, "<=", ceiling, value <= ceiling);
+  }
+
+  int exit_code() const noexcept { return pass_ ? 0 : 1; }
+
+  /// Every gate with its value, limit and verdict, then the overall verdict.
+  void stamp(JsonObject& doc) const {
+    doc.raw("gates", gates_.str()).field("gate_pass", pass_);
+  }
+
+ private:
+  void bound(const std::string& what, double value, const char* op, double limit, bool ok) {
+    std::printf("gate  %-50s %10.4g %s %-8.4g %s\n", what.c_str(), value, op, limit,
+                !bounds_gated_ ? "not gated (--quick)" : ok ? "PASS" : "FAIL");
+    JsonObject g;
+    g.field("name", what)
+        .field("value", value)
+        .field("op", op)
+        .field("limit", limit)
+        .field("gated", bounds_gated_)
+        .field("pass", ok);
+    gates_.add(g);
+    if (bounds_gated_) pass_ = pass_ && ok;
+  }
+
+  bool bounds_gated_;
+  bool pass_ = true;
+  JsonArray gates_;
+};
+
+// ---------------------------------------------------------------------------
+// Grid runs. run_grid runs a bench's scenario grid serially and, for
+// --jobs N > 1, again on N workers: every scenario's digest and event
+// count must agree between the two (the SweepRunner determinism
+// contract). The speedup is timed at min(N, cores) workers, since workers
+// beyond the cores only timeslice and their speedup measures nothing.
+
+struct GridRun {
+  exp::SweepReport serial;  // tables and rows read this run's outcomes
+  int requested_jobs = 1;
+  double parallel_seconds = 0;  // at requested_jobs
+  int effective_jobs = 1;       // min(requested_jobs, cores)
+  double timed_seconds = 0;     // at effective_jobs
+
+  double speedup() const { return timed_seconds > 0 ? serial.seconds / timed_seconds : 0; }
+
+  void stamp(JsonObject& doc) const {
+    doc.field("scenarios", static_cast<std::uint64_t>(serial.outcomes.size()))
+        .field("serial_wall_seconds", serial.seconds)
+        .field("requested_jobs", requested_jobs)
+        .field("parallel_wall_seconds", parallel_seconds)
+        .field("effective_jobs", effective_jobs)
+        .field("timed_wall_seconds", timed_seconds)
+        .field("speedup", speedup());
+  }
+};
+
+inline GridRun run_grid(const std::vector<exp::SweepJob>& jobs, int workers, Gate& gate) {
+  GridRun g;
+  g.requested_jobs = std::max(1, workers);
+  g.effective_jobs = std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1,
+                                g.requested_jobs);
+  g.serial = exp::run_sweep(jobs, 1);
+  g.parallel_seconds = g.timed_seconds = g.serial.seconds;
+  if (g.requested_jobs > 1) {
+    const auto parallel = exp::run_sweep(jobs, g.requested_jobs);
+    bool identical = true;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const auto& s = g.serial.outcomes[i];
+      const auto& p = parallel.outcomes[i];
+      if (s.ok() != p.ok() || s.result.digest != p.result.digest ||
+          s.result.events_dispatched != p.result.events_dispatched) {
+        std::fprintf(stderr, "error: %s: serial %s/%llu events, %d workers %s/%llu events\n",
+                     s.label.c_str(), fmt_digest(s.result.digest).c_str(),
+                     static_cast<unsigned long long>(s.result.events_dispatched),
+                     g.requested_jobs, fmt_digest(p.result.digest).c_str(),
+                     static_cast<unsigned long long>(p.result.events_dispatched));
+        identical = false;
+      }
+    }
+    gate.check("digests and events, serial vs " + std::to_string(g.requested_jobs) +
+                   " workers",
+               identical);
+    g.parallel_seconds = parallel.seconds;
+    if (g.effective_jobs == g.requested_jobs) {
+      g.timed_seconds = parallel.seconds;
+    } else if (g.effective_jobs > 1) {
+      g.timed_seconds = exp::run_sweep(jobs, g.effective_jobs).seconds;
+    }
+  }
+  std::printf("sweep: %zu scenarios, serial %.3fs, %d worker%s %.3fs (%.2fx%s)\n",
+              jobs.size(), g.serial.seconds, g.effective_jobs,
+              g.effective_jobs == 1 ? "" : "s", g.timed_seconds, g.speedup(),
+              g.effective_jobs < g.requested_jobs ? ", jobs clamped to cores" : "");
+  return g;
+}
+
 inline void banner(const std::string& title, const std::string& paper_ref,
                    const std::string& expectation) {
   std::cout << "=============================================================\n"
@@ -208,134 +364,6 @@ inline std::vector<sim::ByteCount> paper_request_sizes() {
 inline sim::ByteCount file_size_for(sim::ByteCount request, int ncompute, int rounds = 8) {
   const sim::ByteCount sz = request * static_cast<sim::ByteCount>(ncompute) * rounds;
   return std::max<sim::ByteCount>(sz, 4 * 1024 * 1024);
-}
-
-// ---------------------------------------------------------------------------
-// AdaptaFetch ablation grid — shared by bench_ablation_adaptive and the
-// ppfs_perf prefetch-efficiency gate so the committed BENCH_prefetch.json
-// and the paper-figure bench always measure the exact same scenarios.
-
-struct AdaptaConfig {
-  const char* name;
-  std::size_t depth;   // fixed readahead depth (starting depth when adaptive)
-  bool adaptive;       // AdaptaFetch controller + ensemble predictor
-};
-
-inline constexpr AdaptaConfig kAdaptaConfigs[] = {
-    {"fixed-1", 1, false},   // the paper's one-ahead prototype
-    {"fixed-4", 4, false},   // deeper but still open-loop
-    {"adaptive", 1, true},   // feedback-driven, ensemble, max depth 8
-};
-inline constexpr std::size_t kAdaptaConfigCount =
-    sizeof kAdaptaConfigs / sizeof kAdaptaConfigs[0];
-
-struct AdaptaRow {
-  const char* name;
-  workload::AccessPattern pattern;
-  pfs::IoMode mode;
-  sim::SimTime compute_delay;
-  std::uint64_t reads_per_node;   // full run; --quick halves this
-};
-
-inline constexpr AdaptaRow kAdaptaRows[] = {
-    {"sequential", workload::AccessPattern::kInterleaved, pfs::IoMode::kRecord,
-     0.002, 64},
-    {"strided", workload::AccessPattern::kStrided, pfs::IoMode::kAsync, 0.004, 64},
-    {"listio", workload::AccessPattern::kListIo, pfs::IoMode::kAsync, 0.004, 64},
-};
-inline constexpr std::size_t kAdaptaRowCount = sizeof kAdaptaRows / sizeof kAdaptaRows[0];
-
-inline workload::WorkloadSpec adapta_spec(const AdaptaRow& row, const AdaptaConfig& cfg,
-                                          bool quick) {
-  constexpr sim::ByteCount kReq = 64 * 1024;
-  const int n = workload::MachineSpec{}.ncompute;
-  const std::uint64_t reads = quick ? row.reads_per_node / 2 : row.reads_per_node;
-
-  workload::WorkloadSpec w;
-  w.mode = row.mode;
-  w.pattern = row.pattern;
-  w.request_size = kReq;
-  w.compute_delay = row.compute_delay;
-  w.prefetch = true;
-  w.prefetch_cfg.depth = cfg.depth;
-  w.prefetch_cfg.adaptive_depth = cfg.adaptive;
-  w.prefetch_cfg.max_depth = 8;
-  if (cfg.adaptive) w.prefetch_cfg.predictor = prefetch::PredictorKind::kEnsemble;
-
-  switch (row.pattern) {
-    case workload::AccessPattern::kStrided:
-      w.stride = 4;
-      // reads/node = file / (req * n * stride)
-      w.file_size = kReq * n * w.stride * reads;
-      break;
-    case workload::AccessPattern::kListIo: {
-      w.listio_extents = 4;
-      // reads/node = (share / frame) * extents; pick share an exact frame
-      // multiple so nothing is truncated.
-      const sim::ByteCount frames = reads / w.listio_extents;
-      w.file_size = workload::listio_frame_bytes(w) * frames * n;
-      break;
-    }
-    default:
-      w.file_size = kReq * n * reads;
-      break;
-  }
-  return w;
-}
-
-/// The full pattern x config sweep, row-major (configs inner).
-inline std::vector<exp::SweepJob> adapta_jobs(bool quick) {
-  std::vector<exp::SweepJob> jobs;
-  for (const AdaptaRow& row : kAdaptaRows) {
-    for (const AdaptaConfig& cfg : kAdaptaConfigs) {
-      jobs.push_back({std::string(row.name) + " " + cfg.name, workload::MachineSpec{},
-                      adapta_spec(row, cfg, quick)});
-    }
-  }
-  return jobs;
-}
-
-// ---------------------------------------------------------------------------
-// ScaleSim machine-size grid — shared by bench_scale and the ppfs_perf
-// scale gate so the committed BENCH_scale.json and the scaling table in
-// EXPERIMENTS.md always measure the exact same scenarios.
-
-struct ScaleRow {
-  const char* name;
-  int ncompute;
-  int nio;
-  int tenants;
-  std::uint64_t requests_per_client;
-  bool full_only;  // skipped with --quick (the production-scale rows)
-};
-
-inline constexpr ScaleRow kScaleRows[] = {
-    {"8x8", 8, 8, 4, 32, false},        // the paper's machine
-    {"64x16", 64, 16, 8, 16, false},    // a full cabinet
-    {"256x64", 256, 64, 16, 8, true},   // multi-cabinet
-    {"1024x256", 1024, 256, 32, 8, true},  // production scale
-};
-inline constexpr std::size_t kScaleRowCount = sizeof kScaleRows / sizeof kScaleRows[0];
-
-inline workload::MachineSpec scale_machine(const ScaleRow& row) {
-  workload::MachineSpec m;
-  m.ncompute = row.ncompute;
-  m.nio = row.nio;
-  return m;
-}
-
-inline workload::OpenArrivalSpec scale_spec(const ScaleRow& row, bool quick) {
-  workload::OpenArrivalSpec s;
-  s.tenants = row.tenants;
-  s.requests_per_client = quick ? row.requests_per_client / 2 : row.requests_per_client;
-  if (s.requests_per_client == 0) s.requests_per_client = 1;
-  s.request_size = 64 * 1024;
-  // 2 MB per tenant bounds the host-side content store (32 tenants at the
-  // 1024x256 row is 64 MB) while still giving 32 distinct request offsets.
-  s.tenant_file_size = 2 * 1024 * 1024;
-  s.mean_interarrival = 0.05;
-  s.seed = 42;
-  return s;
 }
 
 }  // namespace ppfs::bench

@@ -72,9 +72,8 @@ int main(int argc, char** argv) {
               report.jobs, report.jobs == 1 ? "" : "s", report.seconds);
 
   if (!args.json_path.empty()) {
-    JsonObject doc;
-    doc.field("bench", "fig2_io_modes")
-        .field("jobs", report.jobs)
+    JsonObject doc = bench_doc("fig2_io_modes", args.quick);
+    doc.field("jobs", report.jobs)
         .field("wall_seconds", report.seconds)
         .raw("rows", rows.str());
     write_json_file(args.json_path, doc.str());

@@ -8,11 +8,11 @@
 // journal replay instead of a full cold cache, and (b) a warm-restart hit
 // ratio on the reads served after the node comes back.
 //
-// Gated (ppfs_perf-style, enforced here so CI can run the bench directly):
-// the "tier crash" row must report warm_hit_ratio >= 0.5 and a nonzero
-// recovery time with recovered blocks — a warm restart that actually
-// restored service from the journal, not a cold cache with extra steps.
-#include <cstdio>
+// Gated on every grid, --quick included: the "tier crash" row must report
+// warm_hit_ratio >= 0.5 and a nonzero recovery time with recovered blocks
+// — a warm restart that actually restored service from the journal, not a
+// cold cache with extra steps. With --jobs N > 1 every scenario must also
+// reproduce its serial digest.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -21,6 +21,8 @@ namespace {
 
 using namespace ppfs;
 using namespace ppfs::bench;
+
+constexpr double kMinWarmHitRatio = 0.5;
 
 struct TierConfig {
   const char* name;
@@ -77,7 +79,9 @@ int main(int argc, char** argv) {
     jobs.push_back({c.name, m, w});
   }
 
-  const auto report = exp::run_sweep(jobs, args.jobs);
+  Gate gate(true);
+  const auto grid = run_grid(jobs, args.jobs, gate);
+  const auto& report = grid.serial;
   if (!report.all_ok()) return finish_sweep(report);
 
   TextTable table({"Config", "Read B/W (MB/s)", "Recovery time", "Replays", "Blocks",
@@ -123,27 +127,20 @@ int main(int argc, char** argv) {
         .field("verify_failures", r.verify_failures);
     rows.add(row);
   }
-  std::cout << "\n" << table.str();
-
-  const bool warm_ok = gated_warm_ratio >= 0.5;
-  const bool replay_ok = gated_recovery_time > 0 && gated_recovered_blocks > 0;
-  std::printf("\nwarm-restart gate (tier crash row): warm ratio %.3f (>= 0.5: %s), "
-              "recovery %.3fms for %llu blocks (replayed: %s)\n",
-              gated_warm_ratio, warm_ok ? "PASS" : "FAIL", gated_recovery_time * 1e3,
-              (unsigned long long)gated_recovered_blocks, replay_ok ? "PASS" : "FAIL");
-  std::printf("sweep: %zu scenarios, %d worker%s, %.3fs wall\n", report.outcomes.size(),
-              report.jobs, report.jobs == 1 ? "" : "s", report.seconds);
+  std::cout << "\n" << table.str() << "\n";
+  gate.check("tier crash: journal replayed (time, blocks > 0)",
+             gated_recovery_time > 0 && gated_recovered_blocks > 0);
+  gate.at_least("tier crash: warm-restart hit ratio", gated_warm_ratio, kMinWarmHitRatio);
 
   if (!args.json_path.empty()) {
-    JsonObject doc;
-    doc.field("bench", "recovery")
-        .field("jobs", report.jobs)
-        .field("wall_seconds", report.seconds)
-        .field("gated_warm_hit_ratio", gated_warm_ratio)
+    JsonObject doc = bench_doc("recovery", args.quick);
+    grid.stamp(doc);
+    gate.stamp(doc);
+    doc.field("gated_warm_hit_ratio", gated_warm_ratio)
         .field("gated_recovery_time_s", static_cast<double>(gated_recovery_time))
         .field("gated_recovered_blocks", gated_recovered_blocks)
         .raw("rows", rows.str());
     write_json_file(args.json_path, doc.str());
   }
-  return warm_ok && replay_ok ? 0 : 1;
+  return gate.exit_code();
 }

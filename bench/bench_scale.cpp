@@ -1,5 +1,5 @@
 // ScaleSim: machine-size scaling of the open-arrival multi-tenant workload,
-// plus the kernel's deep-backlog microbench.
+// plus the kernel's loop and deep-backlog microbenches.
 //
 // Not a paper figure — the paper stops at 8 compute + 8 I/O nodes. This
 // harness is the production-scale counterpart: it sweeps the machine from
@@ -9,13 +9,21 @@
 // service quality (p50/p95 open-arrival latency, backlog). The memory-lean
 // contract is that bytes/event stays flat as the machine and the run grow.
 //
-// A deep-queue section pushes 10^5..10^7 pending events (quantized times,
-// so tie buckets absorb most of them) through a bare EventQueue and drains
-// it, verifying the tie-batched heap degrades gracefully at production
+// The kernel section times bench_kernel_micro's EventQueueThroughput and
+// CoroutineDelayHops loop shapes, best of N repetitions. A deep-queue
+// section pushes 10^5..10^7 pending events (quantized times, so tie
+// buckets absorb most of them) through a bare EventQueue and drains it,
+// verifying the tie-batched heap degrades gracefully at production
 // backlog depths.
 //
-// --quick keeps the two small rows and the 10^5/10^6 queue depths (CI
-// smoke); the full run adds 256x64, 1024x256 and the 10^7 depth.
+// Gated: every machine row completes every request with no app errors.
+// On the full run each machine row must also sustain >= 50k events/s
+// with <= 512 kernel bytes/event, and each kernel loop >= 250k events/s.
+//
+// --quick keeps the two small rows, short kernel loops and the 10^5/10^6
+// queue depths (CI smoke); the full run adds 256x64, 1024x256 and the
+// 10^7 depth.
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -23,6 +31,9 @@
 #include "bench_common.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
+#include "sim/simulation.hpp"
+#include "sim/task.hpp"
+#include "workload/open_arrival.hpp"
 
 namespace {
 
@@ -31,8 +42,101 @@ using bench::BenchArgs;
 using bench::JsonArray;
 using bench::JsonObject;
 
+constexpr double kMinRowEventsPerSec = 50000;
+constexpr double kMaxRowBytesPerEvent = 512;
+constexpr double kMinKernelEventsPerSec = 250000;
+
+struct ScaleRow {
+  const char* name;
+  int ncompute;
+  int nio;
+  int tenants;
+  std::uint64_t requests_per_client;
+  bool full_only;  // skipped with --quick (the production-scale rows)
+};
+
+constexpr ScaleRow kScaleRows[] = {
+    {"8x8", 8, 8, 4, 32, false},        // the paper's machine
+    {"64x16", 64, 16, 8, 16, false},    // a full cabinet
+    {"256x64", 256, 64, 16, 8, true},   // multi-cabinet
+    {"1024x256", 1024, 256, 32, 8, true},  // production scale
+};
+
+workload::MachineSpec scale_machine(const ScaleRow& row) {
+  workload::MachineSpec m;
+  m.ncompute = row.ncompute;
+  m.nio = row.nio;
+  return m;
+}
+
+workload::OpenArrivalSpec scale_spec(const ScaleRow& row, bool quick) {
+  workload::OpenArrivalSpec s;
+  s.tenants = row.tenants;
+  s.requests_per_client = quick ? row.requests_per_client / 2 : row.requests_per_client;
+  if (s.requests_per_client == 0) s.requests_per_client = 1;
+  s.request_size = 64 * 1024;
+  // 2 MB per tenant bounds the host-side content store (32 tenants at the
+  // 1024x256 row is 64 MB) while still giving 32 distinct request offsets.
+  s.tenant_file_size = 2 * 1024 * 1024;
+  s.mean_interarrival = 0.05;
+  s.seed = 42;
+  return s;
+}
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+struct KernelRow {
+  std::string name;
+  std::uint64_t events = 0;  // per repetition
+  double best_seconds = 0;
+  double events_per_sec = 0;
+};
+
+/// Time `body` (which returns the events it dispatched) `reps` times and
+/// keep the best repetition.
+template <class Body>
+KernelRow best_of(std::string name, int reps, Body body) {
+  KernelRow row;
+  row.name = std::move(name);
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    row.events = body();
+    best = std::min(best, seconds_since(t0));
+  }
+  row.best_seconds = best;
+  row.events_per_sec = static_cast<double>(row.events) / best;
+  return row;
+}
+
+/// BM_EventQueueThroughput's body: n callbacks over 97 distinct times,
+/// pushed then drained on a fresh Simulation.
+std::uint64_t event_throughput(int n) {
+  sim::Simulation sim;
+  int fired = 0;
+  for (int i = 0; i < n; ++i) {
+    sim.call_at(static_cast<double>(i % 97), [&fired] { ++fired; });
+  }
+  sim.run();
+  if (fired != n) {
+    std::fprintf(stderr, "error: event_throughput dropped callbacks\n");
+    std::exit(1);
+  }
+  return sim.events_dispatched();
+}
+
+sim::Task<void> hop(sim::Simulation& sim, int hops) {
+  for (int i = 0; i < hops; ++i) co_await sim.delay(0.001);
+}
+
+/// BM_CoroutineDelayHops's body: 100 processes x `hops` delay hops.
+std::uint64_t delay_hops(int hops) {
+  sim::Simulation sim;
+  for (int p = 0; p < 100; ++p) sim.spawn(hop(sim, hops));
+  sim.run();
+  return sim.events_dispatched();
 }
 
 /// Push `n` events with microsecond-quantized pseudo-random times, then
@@ -84,6 +188,7 @@ DeepQueueRow deep_queue(std::uint64_t n) {
 
 int main(int argc, char** argv) {
   const BenchArgs args = bench::parse_bench_args(argc, argv);
+  bench::Gate gate(!args.quick);
 
   std::printf("=============================================================\n");
   std::printf("ScaleSim: open-arrival machine-size scaling (8x8 -> 1024x256)\n");
@@ -94,13 +199,17 @@ int main(int argc, char** argv) {
   std::printf("%-10s %9s %8s %12s %11s %9s %9s %9s %8s\n", "machine", "requests",
               "backlog", "events", "events/sec", "B/event", "p50", "p95", "host-s");
   JsonArray rows;
-  bool ok = true;
-  for (std::size_t i = 0; i < bench::kScaleRowCount; ++i) {
-    const auto& row = bench::kScaleRows[i];
+  struct Measured {
+    std::string name;
+    bool complete;
+    double events_per_sec;
+    double bytes_per_event;
+  };
+  std::vector<Measured> measured;
+  for (const ScaleRow& row : kScaleRows) {
     if (args.quick && row.full_only) continue;
     const auto t0 = std::chrono::steady_clock::now();
-    const auto r =
-        workload::run_open_arrival(bench::scale_machine(row), bench::scale_spec(row, args.quick));
+    const auto r = workload::run_open_arrival(scale_machine(row), scale_spec(row, args.quick));
     const double secs = seconds_since(t0);
     const double eps = secs > 0 ? static_cast<double>(r.events_dispatched) / secs : 0;
     std::printf("%-10s %9" PRIu64 " %8" PRIu64 " %12" PRIu64 " %11.3g %9.1f %9s %9s %8.2f\n",
@@ -111,8 +220,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s: %" PRIu64 "/%" PRIu64 " completed, %" PRIu64
                            " app errors\n",
                    row.name, r.completed, r.issued, r.faults.app_errors);
-      ok = false;
     }
+    measured.push_back({row.name, r.completed == r.issued && r.faults.app_errors == 0, eps,
+                        r.bytes_per_event});
     JsonObject o;
     o.field("machine", row.name)
         .field("ncompute", row.ncompute)
@@ -137,6 +247,40 @@ int main(int argc, char** argv) {
         .field("seconds", secs);
     rows.add(o);
   }
+  std::printf("\n");
+  for (const Measured& m : measured) {
+    gate.check(m.name + ": every request completed, no app errors", m.complete);
+    gate.at_least(m.name + ": events/s", m.events_per_sec, kMinRowEventsPerSec);
+    gate.at_most(m.name + ": kernel bytes/event", m.bytes_per_event, kMaxRowBytesPerEvent);
+  }
+
+  // --- kernel loops ---
+  const int reps = args.quick ? 3 : 7;
+  const int n = args.quick ? 20000 : 100000;
+  const int hops = args.quick ? 20 : 100;
+  const KernelRow kernel_rows[] = {
+      best_of("event_throughput/" + std::to_string(n), reps,
+              [n] { return event_throughput(n); }),
+      best_of("delay_hops/" + std::to_string(hops), reps,
+              [hops] { return delay_hops(hops); }),
+  };
+  std::printf("\nkernel loops (bench_kernel_micro's shapes, best of %d)\n", reps);
+  JsonArray kernel;
+  for (const KernelRow& k : kernel_rows) {
+    std::printf("%-24s %9" PRIu64 " events  %12.3g events/sec\n", k.name.c_str(), k.events,
+                k.events_per_sec);
+    JsonObject o;
+    o.field("name", k.name)
+        .field("events", k.events)
+        .field("repetitions", reps)
+        .field("best_seconds", k.best_seconds)
+        .field("events_per_sec", k.events_per_sec);
+    kernel.add(o);
+  }
+  std::printf("\n");
+  for (const KernelRow& k : kernel_rows) {
+    gate.at_least(k.name + ": events/s", k.events_per_sec, kMinKernelEventsPerSec);
+  }
 
   // --- deep-queue backlog ---
   std::printf("\ndeep-queue backlog (bare EventQueue, 1us tie grid)\n");
@@ -160,12 +304,10 @@ int main(int argc, char** argv) {
   }
 
   if (!args.json_path.empty()) {
-    JsonObject doc;
-    doc.field("bench", "scale")
-        .field("quick", args.quick)
-        .raw("rows", rows.str())
-        .raw("deep_queue", deep.str());
+    JsonObject doc = bench::bench_doc("scale", args.quick);
+    gate.stamp(doc);
+    doc.raw("rows", rows.str()).raw("kernel", kernel.str()).raw("deep_queue", deep.str());
     bench::write_json_file(args.json_path, doc.str());
   }
-  return ok ? 0 : 1;
+  return gate.exit_code();
 }

@@ -3,8 +3,9 @@
 // stripe unit 64KB, stripe group 8.
 //
 // The scenarios are independent simulations, so they run through the
-// SweepRunner: --jobs N overlaps them on N worker threads while the table
-// (and every per-scenario digest) stays identical to a serial run.
+// SweepRunner. Gated: with --jobs N > 1 the grid runs serially and on N
+// workers, and every scenario's digest and event count must agree; the
+// speedup at min(N, cores) workers is recorded, not gated.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -19,24 +20,11 @@ int main(int argc, char** argv) {
          "prefetching ~ no-prefetching for all sizes; small (64KB) requests "
          "slightly WORSE with prefetching (buffer copy + issue overhead)");
 
-  const MachineSpec machine;
-  const int n = machine.ncompute;
-  const int rounds = args.quick ? 2 : 8;
-
-  std::vector<exp::SweepJob> jobs;
-  for (auto req : paper_request_sizes()) {
-    WorkloadSpec base;
-    base.mode = pfs::IoMode::kRecord;
-    base.request_size = req;
-    base.file_size = file_size_for(req, n, rounds);
-
-    auto pf = base;
-    pf.prefetch = true;
-    jobs.push_back({fmt_bytes(req) + " no-prefetch", machine, base});
-    jobs.push_back({fmt_bytes(req) + " prefetch", machine, pf});
-  }
-
-  const auto report = exp::run_sweep(jobs, args.jobs);
+  Gate gate(!args.quick);
+  const auto grid = run_grid(
+      exp::paper_table_jobs(MachineSpec{}, WorkloadSpec{}, args.quick ? 2 : 8), args.jobs,
+      gate);
+  const auto& report = grid.serial;
   if (!report.all_ok()) return finish_sweep(report);
 
   TextTable table({"Request size (per node)", "File size", "Read B/W (MB/s) no prefetch",
@@ -55,16 +43,13 @@ int main(int argc, char** argv) {
     rows.add(outcome_json(report.outcomes[i + 1]));
   }
   std::cout << "\n" << table.str() << std::endl;
-  std::printf("sweep: %zu scenarios, %d worker%s, %.3fs wall\n", report.outcomes.size(),
-              report.jobs, report.jobs == 1 ? "" : "s", report.seconds);
 
   if (!args.json_path.empty()) {
-    JsonObject doc;
-    doc.field("bench", "table1_io_bound")
-        .field("jobs", report.jobs)
-        .field("wall_seconds", report.seconds)
-        .raw("rows", rows.str());
+    JsonObject doc = bench_doc("table1_io_bound", args.quick);
+    grid.stamp(doc);
+    gate.stamp(doc);
+    doc.raw("rows", rows.str());
     write_json_file(args.json_path, doc.str());
   }
-  return 0;
+  return gate.exit_code();
 }

@@ -66,9 +66,8 @@ int main(int argc, char** argv) {
               report.jobs, report.jobs == 1 ? "" : "s", report.seconds);
 
   if (!args.json_path.empty()) {
-    JsonObject doc;
-    doc.field("bench", "table3_stripe_units")
-        .field("jobs", report.jobs)
+    JsonObject doc = bench_doc("table3_stripe_units", args.quick);
+    doc.field("jobs", report.jobs)
         .field("wall_seconds", report.seconds)
         .raw("rows", rows.str());
     write_json_file(args.json_path, doc.str());

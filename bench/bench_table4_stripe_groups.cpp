@@ -74,9 +74,8 @@ int main(int argc, char** argv) {
               report.jobs, report.jobs == 1 ? "" : "s", report.seconds);
 
   if (!args.json_path.empty()) {
-    JsonObject doc;
-    doc.field("bench", "table4_stripe_groups")
-        .field("jobs", report.jobs)
+    JsonObject doc = bench_doc("table4_stripe_groups", args.quick);
+    doc.field("jobs", report.jobs)
         .field("wall_seconds", report.seconds)
         .raw("rows", rows.str());
     write_json_file(args.json_path, doc.str());

@@ -11,10 +11,9 @@
 //   - conflicting: every writer targets the SAME records each round — the
 //     token manager serializes them and scaling flattens.
 //
-// Gated: aggregate observed write bandwidth of the 8-writer own-slots row
-// must be >= 1.5x the 1-writer row (--min-write-scaling to override), and
-// every row must verify byte-exact.
-#include <cstdio>
+// Gated on every grid, --quick included: aggregate observed write
+// bandwidth of the 8-writer own-slots row must be >= 1.5x the 1-writer
+// row, and every row must verify byte-exact.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -27,6 +26,8 @@ using namespace ppfs::bench;
 using workload::WriteWorkloadKind;
 using workload::WriteWorkloadSpec;
 
+constexpr double kMinWriteScaling = 1.5;
+
 struct Row {
   const char* name;
   int writers;
@@ -36,18 +37,7 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // One extra flag on top of the shared set: the gate threshold.
-  double min_scaling = 1.5;
-  std::vector<char*> passthrough{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--min-write-scaling" && i + 1 < argc) {
-      min_scaling = std::atof(argv[++i]);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  const BenchArgs args =
-      parse_bench_args(static_cast<int>(passthrough.size()), passthrough.data());
+  const BenchArgs args = parse_bench_args(argc, argv);
 
   banner("TokenWrite: concurrent checkpoint writers with byte-range tokens",
          "write-path extension (not in the paper): byte-range token "
@@ -105,23 +95,18 @@ int main(int argc, char** argv) {
         .field("verify_failures", r.verify_failures);
     json_rows.add(jrow);
   }
-  std::cout << "\n" << table.str();
+  std::cout << "\n" << table.str() << "\n";
 
   const double scaling = bw1 > 0 ? bw8 / bw1 : 0.0;
-  const bool scaling_ok = scaling >= min_scaling;
-  std::printf("\nwrite-scaling gate (own slots, 1 -> 8 writers): %.2fx (>= %.2fx: %s), "
-              "verify %s\n",
-              scaling, min_scaling, scaling_ok ? "PASS" : "FAIL",
-              verify_ok ? "PASS" : "FAIL");
+  Gate gate(true);
+  gate.check("every row verifies byte-exact", verify_ok);
+  gate.at_least("write B/W, 8 vs 1 own-slot writers", scaling, kMinWriteScaling);
 
   if (!args.json_path.empty()) {
-    JsonObject doc;
-    doc.field("bench", "write_scaling")
-        .field("min_write_scaling", min_scaling)
-        .field("gated_scaling_1_to_8", scaling)
-        .field("verify_ok", verify_ok)
-        .raw("rows", json_rows.str());
+    JsonObject doc = bench_doc("write_scaling", args.quick);
+    gate.stamp(doc);
+    doc.field("gated_scaling_1_to_8", scaling).raw("rows", json_rows.str());
     write_json_file(args.json_path, doc.str());
   }
-  return scaling_ok && verify_ok ? 0 : 1;
+  return gate.exit_code();
 }

@@ -75,11 +75,6 @@ bool SweepReport::all_ok() const noexcept {
   return true;
 }
 
-int SweepRunner::default_jobs() noexcept {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : static_cast<int>(hc);
-}
-
 SweepReport SweepRunner::run(const std::vector<SweepJob>& batch) const {
   SweepReport report;
   report.jobs = jobs_;

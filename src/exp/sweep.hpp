@@ -59,9 +59,6 @@ class SweepRunner {
 
   SweepReport run(const std::vector<SweepJob>& batch) const;
 
-  /// std::thread::hardware_concurrency, or 1 when the platform reports 0.
-  static int default_jobs() noexcept;
-
  private:
   int jobs_;
 };

@@ -1,7 +1,6 @@
 #include "workload/experiment.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -34,16 +33,6 @@ struct NodePlan {
   bool listio_seeks = false;       // seek to listio_offset(k) before read k
 };
 
-struct NodeOutcome {
-  SimTime start = 0;
-  SimTime end = 0;
-  ByteCount bytes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t verify_failures = 0;
-  std::uint64_t app_errors = 0;  // FaultErrors surfaced to the application
-  sim::StreamingQuantiles latencies;  // per read call, fixed footprint
-};
-
 /// Expected file offset of read k for verification purposes.
 FileOffset expected_offset(const WorkloadSpec& w, const NodePlan& plan, int rank, int nprocs,
                            std::uint64_t k, FileOffset observed_ptr_after,
@@ -71,7 +60,7 @@ FileOffset expected_offset(const WorkloadSpec& w, const NodePlan& plan, int rank
 }
 
 Task<void> reader(const WorkloadSpec& w, pfs::PfsClient& client, NodePlan plan,
-                  sim::Barrier& start_line, NodeOutcome& out, int rank, int nprocs) {
+                  sim::Barrier& start_line, detail::ReadTally& out, int rank, int nprocs) {
   const int fd = co_await client.open(plan.file, w.separate_files ? IoMode::kAsync : w.mode);
   if (!w.use_fastpath) client.set_fastpath(fd, false);
   if (plan.seek_first && plan.own_region_start != 0) {
@@ -229,39 +218,22 @@ ExperimentResult Experiment::run(const WorkloadSpec& w, trace::TraceSink* sink,
   // --- read phase (fault-plan times are relative to its start) ---
   rig.start_phase(w.faults);
   sim::Barrier start_line(rig.sim(), N);
-  std::vector<NodeOutcome> outcomes(N);
+  std::vector<detail::ReadTally> outcomes(N);
   for (int r = 0; r < N; ++r) {
     rig.sim().spawn(reader(w, rig.client(r), plans[r], start_line, outcomes[r], r, N));
   }
   rig.sim().run();
 
   // --- collect ---
-  ExperimentResult res;
-  res.spec = w;
-  std::uint64_t app_errors = 0;
-  SimTime t0 = sim::kTimeInfinity, t1 = 0;
   for (int r = 0; r < N; ++r) {
     if (outcomes[r].reads != plans[r].reads) {
       throw std::runtime_error("Experiment: node " + std::to_string(r) +
                                " did not finish its reads (deadlock?)");
     }
-    res.total_bytes += outcomes[r].bytes;
-    res.reads += outcomes[r].reads;
-    res.verify_failures += outcomes[r].verify_failures;
-    app_errors += outcomes[r].app_errors;
-    t0 = std::min(t0, outcomes[r].start);
-    t1 = std::max(t1, outcomes[r].end);
-    res.read_latencies.merge(outcomes[r].latencies);
   }
-  rig.collect(res, app_errors);
-  res.wall_elapsed = t1 - t0;
-  res.mean_read_call_time =
-      res.reads ? std::accumulate(res.node_read_time.begin(), res.node_read_time.end(), 0.0) /
-                      static_cast<double>(res.reads)
-                : 0.0;
-  res.observed_read_bw_mbs =
-      sim::megabytes_per_second(res.total_bytes, res.max_node_read_time);
-  res.wall_bw_mbs = sim::megabytes_per_second(res.total_bytes, res.wall_elapsed);
+  ExperimentResult res;
+  res.spec = w;
+  rig.collect_reads(res, outcomes);
   // The post-run hook sees the live mount (fsck audits, corruption
   // injection for tests) after metrics are final but before teardown.
   if (post_run) post_run(fs);

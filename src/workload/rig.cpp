@@ -1,6 +1,7 @@
 #include "workload/rig.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -197,6 +198,29 @@ void Rig::collect(RunCounters& res, std::uint64_t app_errors) {
           ? static_cast<double>(res.event_queue_bytes + res.frame_arena_bytes) /
                 static_cast<double>(res.events_dispatched)
           : 0.0;
+}
+
+void Rig::collect_reads(ExperimentResult& res, const std::vector<ReadTally>& tallies) {
+  std::uint64_t app_errors = 0;
+  sim::SimTime t0 = sim::kTimeInfinity, t1 = 0;
+  for (const ReadTally& t : tallies) {
+    res.total_bytes += t.bytes;
+    res.reads += t.reads;
+    res.verify_failures += t.verify_failures;
+    app_errors += t.app_errors;
+    t0 = std::min(t0, t.start);
+    t1 = std::max(t1, t.end);
+    res.read_latencies.merge(t.latencies);
+  }
+  collect(res, app_errors);
+  res.wall_elapsed = t1 - t0;
+  res.mean_read_call_time =
+      res.reads ? std::accumulate(res.node_read_time.begin(), res.node_read_time.end(), 0.0) /
+                      static_cast<double>(res.reads)
+                : 0.0;
+  res.observed_read_bw_mbs =
+      sim::megabytes_per_second(res.total_bytes, res.max_node_read_time);
+  res.wall_bw_mbs = sim::megabytes_per_second(res.total_bytes, res.wall_elapsed);
 }
 
 }  // namespace ppfs::workload::detail

@@ -13,7 +13,9 @@
 //      until it drains;
 //   4. collect: every field of the shared RunCounters block is filled, and
 //      the SimCheck end-of-run ledgers (token, cache-bitmap and fault
-//      conservation) are checked.
+//      conservation) are checked. The two read drivers (Experiment::run,
+//      replay_trace) call collect_reads, which also folds their readers'
+//      tallies and derives the read figures.
 //
 // The driver keeps only its validation, its plan, its per-client coroutine
 // and the fold of its own outcomes.
@@ -47,6 +49,18 @@ enum class Topology { kParagon, kParagonScaled };
 sim::Task<void> populate(pfs::PfsClient& loader, std::string name, std::uint64_t tag,
                          ByteCount size);
 
+/// What one reader of a read phase tallies: a node of Experiment::run or a
+/// rank of replay_trace.
+struct ReadTally {
+  sim::SimTime start = 0;  // passed the start line
+  sim::SimTime end = 0;    // last read call returned
+  ByteCount bytes = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t verify_failures = 0;
+  std::uint64_t app_errors = 0;       // FaultErrors surfaced to the application
+  sim::StreamingQuantiles latencies;  // per read call, fixed footprint
+};
+
 class Rig {
  public:
   /// Build the machine of `spec` with `nclients` processes (rank r on
@@ -71,6 +85,11 @@ class Rig {
   /// Fill every field of `out`. `app_errors` is the number of FaultErrors
   /// the driver's application code caught.
   void collect(RunCounters& out, std::uint64_t app_errors);
+
+  /// collect for a read phase: fold the readers' tallies into `out`, fill
+  /// the shared counters, and derive wall_elapsed (first start to last
+  /// read), mean_read_call_time, observed_read_bw_mbs and wall_bw_mbs.
+  void collect_reads(ExperimentResult& out, const std::vector<ReadTally>& tallies);
 
  private:
   /// A client's measured-phase counters at phase start.

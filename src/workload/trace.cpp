@@ -174,17 +174,9 @@ AccessTrace AccessTrace::strided(int ranks, int reads_per_rank, ByteCount len,
 
 namespace {
 
-struct RankOutcome {
-  SimTime start = 0;
-  SimTime end = 0;
-  ByteCount bytes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t verify_failures = 0;
-};
-
 Task<void> rank_replay(sim::Simulation& sim, pfs::PfsClient& client,
                        std::vector<TraceOp> my_ops, IoMode mode, sim::Barrier& start_line,
-                       bool verify, RankOutcome& out) {
+                       bool verify, detail::ReadTally& out) {
   const int fd = co_await client.open("trace", mode);
   co_await start_line.arrive_and_wait();
   out.start = sim.now();
@@ -200,7 +192,9 @@ Task<void> rank_replay(sim::Simulation& sim, pfs::PfsClient& client,
                                   ? client.tell(fd) +
                                         static_cast<FileOffset>(client.rank()) * op.length
                                   : client.tell(fd);
+    const SimTime call_start = sim.now();
     const ByteCount got = co_await client.read(fd, buf);
+    out.latencies.add(sim.now() - call_start);
     out.bytes += got;
     ++out.reads;
     out.end = sim.now();
@@ -240,7 +234,7 @@ ExperimentResult replay_trace(const MachineSpec& mspec, const AccessTrace& trace
   for (const TraceOp& op : trace.ops) per_rank[op.rank].push_back(op);
 
   sim::Barrier start_line(rig.sim(), trace.ranks);
-  std::vector<RankOutcome> outcomes(trace.ranks);
+  std::vector<detail::ReadTally> outcomes(trace.ranks);
   for (int r = 0; r < trace.ranks; ++r) {
     rig.sim().spawn(rank_replay(rig.sim(), rig.client(r), per_rank[r], trace.mode,
                                 start_line, verify, outcomes[r]));
@@ -252,18 +246,7 @@ ExperimentResult replay_trace(const MachineSpec& mspec, const AccessTrace& trace
   res.spec.prefetch = prefetch_on;
   res.spec.prefetch_cfg = prefetch_cfg;
   res.spec.verify = verify;
-  SimTime t0 = sim::kTimeInfinity, t1 = 0;
-  for (const RankOutcome& o : outcomes) {
-    res.total_bytes += o.bytes;
-    res.reads += o.reads;
-    res.verify_failures += o.verify_failures;
-    t0 = std::min(t0, o.start);
-    t1 = std::max(t1, o.end);
-  }
-  rig.collect(res, 0);
-  res.wall_elapsed = t1 - t0;
-  res.observed_read_bw_mbs =
-      sim::megabytes_per_second(res.total_bytes, res.max_node_read_time);
+  rig.collect_reads(res, outcomes);
   return res;
 }
 

@@ -60,8 +60,9 @@ struct AccessTrace {
 /// patterned large enough for every access; reads are verified when
 /// `verify` is set (only for traces whose reads are offset-determined:
 /// unique-pointer modes and M_RECORD). The result carries every shared
-/// counter plus total_bytes, reads, wall_elapsed, observed_read_bw_mbs and
-/// verify_failures; its latency sketch stays empty.
+/// counter and the same read figures as Experiment::run: total_bytes,
+/// reads, verify_failures, the per-call read latencies, wall_elapsed,
+/// mean_read_call_time, observed_read_bw_mbs and wall_bw_mbs.
 ExperimentResult replay_trace(const MachineSpec& machine, const AccessTrace& trace,
                               bool prefetch_on, prefetch::PrefetchConfig prefetch_cfg = {},
                               bool verify = false);

@@ -365,6 +365,20 @@ TEST(DatapathE2E, DefaultSpecKeepsEveryStageOff) {
   EXPECT_FALSE(defaults.pfs.server_batch);
 }
 
+TEST(DatapathE2E, DefaultMachineDispatchesTheLegacyEventStream) {
+  // The stages stay opt-in: a default machine and one with every stage
+  // forced off run the same events, on the data-path bench's 8x8 shape.
+  workload::WorkloadSpec w;
+  w.mode = pfs::IoMode::kRecord;
+  w.request_size = 512 * 1024;
+  w.file_size = 8ull * 512 * 1024 * 2;  // 8 nodes x 2 rounds
+  w.prefetch = true;
+  const auto defaults = workload::Experiment(workload::MachineSpec{}).run(w);
+  const auto legacy = workload::Experiment(stages_on(0, false, false)).run(w);
+  EXPECT_EQ(defaults.digest, legacy.digest);
+  EXPECT_EQ(defaults.events_dispatched, legacy.events_dispatched);
+}
+
 // --- golden digests on every data-RPC path ----------------------------------
 //
 // Each (stage, shape) pair pins the whole event stream: digest and event

@@ -217,7 +217,7 @@ TEST(ScaleSmoke, DigestStableAcrossRuns) {
 }
 
 TEST(ScaleSmoke, FrameArenaBytesAreTheRunsOwnPeak) {
-  // frame_arena_bytes (and so bytes_per_event, which ppfs_perf gates) is
+  // frame_arena_bytes (and so bytes_per_event, which bench_scale gates) is
   // the run's own high-water of live arena blocks. It once read the
   // thread's cached blocks, which a larger run earlier on the same thread
   // inflated. A fresh thread gives the row a fresh arena for its first run.

@@ -570,7 +570,8 @@ node_read_time: n0=0x1.51d8a2717b95p-3 n1=0x1.529d0491c4c2p-3 n2=0x1.529d0491c4c
 rpc: data=192 metadata=9
 mesh: link0=0x1.269533d328a56p-5 link4=0x1.88c99ef61277ep-6 link35=0x1.8a5025874e12dp-7 link18=0x1.899711e751d8bp-7 link30=0x1.89750941723bdp-7
 prefetch: issued=120 hits_in_flight=120 misses=8 bytes_prefetched=7864320 bytes_served=7864320 wait_time=0x1.ecb52df227852p-1 depth0=8 depth1=120
-reads: reads=128 total_bytes=8388608 wall_elapsed=0x1.42e81be27bfacp-2 observed_read_bw_mbs=0x1.95e3386be880ap+5
+reads: reads=128 total_bytes=8388608 wall_elapsed=0x1.42e81be27bfacp-2 mean_read_call_time=0x1.523ad381a02b8p-7 observed_read_bw_mbs=0x1.95e3386be880ap+5 wall_bw_mbs=0x1.a9a16d43afdap+4
+latency: count=128 sum=0x1.523ad381a02b8p+0 max=0x1.35c81fc01ba3p-6
 )");
 }
 
@@ -583,7 +584,8 @@ calls: max_node_read_time=0x1.1216dfd1a0439p-1
 node_read_time: n0=0x1.ebe300a2d85d6p-2 n1=0x1.fea695a2fb15ep-2 n2=0x1.08b515518ee73p-1 n3=0x1.1216dfd1a0439p-1
 rpc: data=64 metadata=5
 mesh: link0=0x1.1d5506c8b49b6p-5 link4=0x1.7c72b5f9def24p-6 link2=0x1.897a42d4c81f7p-7 link8=0x1.7c740d92cd157p-7 link14=0x1.7c740d92cd157p-7
-reads: reads=32 total_bytes=2097152 wall_elapsed=0x1.2421da00a5ea7p-1 observed_read_bw_mbs=0x1.f570416fdcfaap+1
+reads: reads=32 total_bytes=2097152 wall_elapsed=0x1.2421da00a5ea7p-1 mean_read_call_time=0x1.0404301186391p-4 observed_read_bw_mbs=0x1.f570416fdcfaap+1 wall_bw_mbs=0x1.d677e2307c6b2p+1
+latency: count=32 sum=0x1.0404301186391p+1 max=0x1.1b229d70cf668p-4
 )");
 }
 

@@ -183,21 +183,6 @@ void print_write_result(const char* label, const ExperimentResult& r) {
   }
 }
 
-/// --selfcheck for write workloads: identical spec twice, digests must match.
-int selfcheck_write(const WriteWorkloadSpec& spec) {
-  const auto r1 = run_write_workload(spec);
-  const auto r2 = run_write_workload(spec);
-  const bool ok = r1.digest == r2.digest && r1.events_dispatched == r2.events_dispatched &&
-                  r1.bytes_written == r2.bytes_written && r1.reads == r2.reads &&
-                  r1.wall_elapsed == r2.wall_elapsed;
-  std::printf("%-16s digest %016llx / %016llx  events %llu / %llu : %s\n", "write:",
-              (unsigned long long)r1.digest, (unsigned long long)r2.digest,
-              (unsigned long long)r1.events_dispatched,
-              (unsigned long long)r2.events_dispatched, ok ? "IDENTICAL" : "DIVERGED");
-  std::printf("selfcheck: %s\n", ok ? "PASS" : "FAIL (nondeterminism detected)");
-  return ok ? 0 : 1;
-}
-
 /// The exit status of every mode that runs workloads, folded over all of
 /// its runs: 1 when any byte failed verification, else 3 when any run gave
 /// up on a fault (a retry budget exhausted or a FaultError surfacing to
@@ -247,16 +232,32 @@ bool fault_gave_up(const ExperimentResult& r) {
   return r.faults.terminal_errors > 0 || r.faults.app_errors > 0;
 }
 
+/// The read workloads a run makes: the prefetch off/on pair for --compare,
+/// else the one given.
+std::vector<WorkloadSpec> read_runs(const CliOptions& opt) {
+  if (!opt.compare) return {opt.workload};
+  auto off = opt.workload;
+  off.prefetch = false;
+  auto on = opt.workload;
+  on.prefetch = true;
+  return {off, on};
+}
+
+const char* read_label(const WorkloadSpec& w) {
+  return w.prefetch ? "prefetch:" : "no prefetch:";
+}
+
 /// SimCheck determinism self-check: run the identical configuration twice
 /// on fresh machines and demand bit-identical kernel digests (plus matching
 /// headline metrics — a digest collision hiding a divergence would still be
 /// caught by these). Returns true when the runs agree.
-bool selfcheck_one(const Experiment& exp, const WorkloadSpec& w, const char* label) {
-  const auto r1 = exp.run(w);
-  const auto r2 = exp.run(w);
+template <class Run>
+bool selfcheck_one(const char* label, const Run& run) {
+  const ExperimentResult r1 = run();
+  const ExperimentResult r2 = run();
   const bool ok = r1.digest == r2.digest && r1.events_dispatched == r2.events_dispatched &&
-                  r1.total_bytes == r2.total_bytes && r1.reads == r2.reads &&
-                  r1.wall_elapsed == r2.wall_elapsed;
+                  r1.reads == r2.reads && r1.total_bytes == r2.total_bytes &&
+                  r1.bytes_written == r2.bytes_written && r1.wall_elapsed == r2.wall_elapsed;
   std::printf("%-16s digest %016llx / %016llx  events %llu / %llu : %s\n", label,
               (unsigned long long)r1.digest, (unsigned long long)r2.digest,
               (unsigned long long)r1.events_dispatched,
@@ -264,18 +265,16 @@ bool selfcheck_one(const Experiment& exp, const WorkloadSpec& w, const char* lab
   return ok;
 }
 
+/// --selfcheck: every run the options make (one write workload, one read
+/// workload, or the --compare pair), each twice.
 int run_selfcheck(const Experiment& exp, const CliOptions& opt) {
   bool ok = true;
-  if (opt.compare) {
-    auto off = opt.workload;
-    off.prefetch = false;
-    auto on = opt.workload;
-    on.prefetch = true;
-    ok &= selfcheck_one(exp, off, "no prefetch:");
-    ok &= selfcheck_one(exp, on, "prefetch:");
+  if (opt.write_workload) {
+    ok = selfcheck_one("write:", [&] { return run_write_workload(*opt.write_workload); });
   } else {
-    ok &= selfcheck_one(exp, opt.workload,
-                        opt.workload.prefetch ? "prefetch:" : "no prefetch:");
+    for (const WorkloadSpec& w : read_runs(opt)) {
+      ok &= selfcheck_one(read_label(w), [&] { return exp.run(w); });
+    }
   }
   std::printf("selfcheck: %s\n", ok ? "PASS" : "FAIL (nondeterminism detected)");
   return ok ? 0 : 1;
@@ -356,7 +355,7 @@ int run_single(const Experiment& exp, const CliOptions& opt) {
   if (opt.write_workload) {
     print_write_result("write:", r);
   } else {
-    print_result(opt.workload.prefetch ? "prefetch:" : "no prefetch:", r);
+    print_result(read_label(opt.workload), r);
   }
   if (sinkp) {
     dump_trace(sink, opt, fault_gave_up(r));
@@ -402,7 +401,7 @@ int main(int argc, char** argv) {
                                                                             : "FIFO");
     if (opt.write_workload) {
       print_write_header(*opt.write_workload);
-      if (opt.selfcheck) return selfcheck_write(*opt.write_workload);
+      if (opt.selfcheck) return run_selfcheck(exp, opt);
       return run_single(exp, opt);
     }
     std::printf("workload: %s, request %s, file %s, delay %.3fs%s%s\n\n",
@@ -429,12 +428,9 @@ int main(int argc, char** argv) {
       return run_selfcheck(exp, opt);
     }
     if (opt.compare) {
-      auto off = opt.workload;
-      off.prefetch = false;
-      auto on = opt.workload;
-      on.prefetch = true;
-      const auto r_off = exp.run(off);
-      const auto r_on = exp.run(on);
+      const auto runs = read_runs(opt);
+      const auto r_off = exp.run(runs[0]);
+      const auto r_on = exp.run(runs[1]);
       print_result("no prefetch:", r_off);
       std::printf("\n");
       print_result("prefetch:", r_on);
