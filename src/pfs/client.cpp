@@ -22,52 +22,16 @@ namespace {
 /// every other mode claims its offset from the metadata node.
 bool resolves_locally(IoMode mode) { return mode == IoMode::kRecord || mode == IoMode::kAsync; }
 
-/// True when an extent's pieces tile one contiguous file range. Its bytes
-/// are then one run of the caller's buffer, which the server reads into or
-/// writes from directly.
-bool file_contiguous(const StripePieces& pieces) {
-  for (std::size_t i = 1; i < pieces.size(); ++i) {
-    if (pieces[i].file_offset != pieces[i - 1].file_offset + pieces[i - 1].length) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// The wire image of one staged RPC. It is allocated once per RPC, not per
-/// attempt, and left uninitialised: the gather or the server writes every
-/// byte before anything reads it.
-std::unique_ptr<std::byte[]> staging_image(ByteCount len) {
-  return std::make_unique_for_overwrite<std::byte[]>(len);
-}
-
-/// Scatter a contiguous stripe-file image into its file-space slots of
-/// `out`, whose first byte is file offset `base`. Only the first `got`
-/// bytes of the image came back from the server; the rest of the extent is
-/// a hole and reads as zeros. Returns the bytes copied from the image.
-ByteCount scatter(const StripePieces& pieces, const std::byte* image,
-                  ByteCount got, std::span<std::byte> out, FileOffset base) {
-  ByteCount cursor = 0;
-  for (const StripePiece& piece : pieces) {
-    std::byte* dst = out.data() + (piece.file_offset - base);
-    const ByteCount n = cursor < got ? std::min<ByteCount>(piece.length, got - cursor) : 0;
-    std::memcpy(dst, image + cursor, n);
-    std::memset(dst + n, 0, piece.length - n);
-    cursor += piece.length;
-  }
-  return std::min(got, cursor);
-}
-
-/// Gather an extent's file-space pieces of `in` (file offset `base` at
-/// in[0]) into one contiguous stripe-file image. Returns the bytes placed.
-ByteCount gather(const StripePieces& pieces, std::span<const std::byte> in,
-                 FileOffset base, std::byte* image) {
-  ByteCount cursor = 0;
-  for (const StripePiece& piece : pieces) {
-    std::memcpy(image + cursor, in.data() + (piece.file_offset - base), piece.length);
-    cursor += piece.length;
-  }
-  return cursor;
+/// Where extent `e` lies in `buf`, whose first byte is file offset `base`:
+/// its first piece, then one stripe unit every group × unit bytes. View
+/// position p holds the extent's local byte local_offset + p.
+template <typename Byte>
+ufs::StridedSpan<Byte> extent_view(const IoNodeRequest& e, const StripeAttrs& attrs,
+                                   std::span<Byte> buf, FileOffset base) {
+  const FileOffset first = e.pieces.front().file_offset;
+  const ByteCount unit = attrs.stripe_unit;
+  return ufs::StridedSpan<Byte>(buf.data() + (first - base), e.length, first % unit, unit,
+                                unit * static_cast<ByteCount>(attrs.group_size()));
 }
 
 }  // namespace
@@ -222,44 +186,23 @@ sim::Task<void> PfsClient::data_rpc(PfsFileMeta& meta, std::span<const IoNodeReq
                             /*async=*/true, length, static_cast<std::uint64_t>(io_index),
                             buf.is_write ? trace::kFlagWrite : std::uint8_t{0});
 
-  // "Fast Path reads data directly from the disks to the user's buffer": an
-  // uncoalesced extent that is one contiguous file range moves straight
-  // between the caller's span and the server. Every other RPC moves one
-  // staging image: a write gathers its pieces into it here, a read
-  // scatters it once the reply is in. Coalesced RPCs always stage, so the
-  // auditor can hold the bytes moved against the union of their extents.
+  // "Fast Path reads data directly from the disks to the user's buffer":
+  // every extent moves straight between the caller's buffer and the
+  // server, through a view of where its pieces lie there.
+  const StripeAttrs& attrs = meta.layout.attrs();
   sim::InlineVec<PfsServer::ExtentOp, 1> ops;
+  std::size_t pieces = 0;
   for (const IoNodeRequest& e : extents) {
     PfsServer::ExtentOp& op = ops.emplace_back();
     op.ino = meta.stripe_inos[e.group_slot];
     op.local_off = e.local_offset;
     op.len = e.length;
-  }
-  std::unique_ptr<std::byte[]> staging;
-  if (!batched && file_contiguous(extents.front().pieces)) {
-    const FileOffset at = extents.front().pieces.front().file_offset - base;
     if (buf.is_write) {
-      ops[0].in = buf.in.subspan(at, length);
+      op.in = extent_view(e, attrs, buf.in, base);
     } else {
-      ops[0].out = buf.out.subspan(at, length);
+      op.out = extent_view(e, attrs, buf.out, base);
     }
-  } else {
-    staging = staging_image(length);
-    std::byte* image = staging.get();
-    ByteCount gathered = 0;
-    for (std::size_t i = 0; i < extents.size(); ++i) {
-      if (buf.is_write) {
-        gathered += gather(extents[i].pieces, buf.in, base, image);
-        ops[i].in = {image, extents[i].length};
-      } else {
-        ops[i].out = {image, extents[i].length};
-      }
-      image += extents[i].length;
-    }
-    if (buf.is_write) {
-      rpc_stats_.staged_bytes += gathered;
-      if (auto* a = sim.auditor()) a->check_coalesce_conservation(sim.now(), length, gathered);
-    }
+    pieces += e.pieces.size();
   }
 
   for (std::uint32_t attempt = 0, failures = 0;; ++attempt) {
@@ -307,25 +250,24 @@ sim::Task<void> PfsClient::data_rpc(PfsFileMeta& meta, std::span<const IoNodeReq
       if (auto* a = sim.auditor()) a->on_fault_retried_ok(failures);
     }
     rpc_span.end(got, batched ? extents.size() : static_cast<std::uint64_t>(io_index));
-    if (buf.is_write) co_return;
 
     // Bytes past an extent's `got` are a hole: the PFS file goes on, but no
-    // write reached this stripe file that far. Holes read as zeros.
-    if (!staging) {
-      std::memset(ops[0].out.data() + got, 0, length - got);
-      co_return;
+    // write reached this stripe file that far. Holes read as zeros. When an
+    // RPC moves more than one piece, the auditor holds the bytes the server
+    // reported against the bytes that landed through the views: each range
+    // arrives once, none lost, none duplicated.
+    ByteCount landed = 0;
+    for (const PfsServer::ExtentOp& op : ops) {
+      const ByteCount view = buf.is_write ? op.in.size() : op.out.size();
+      const ByteCount n = std::min(op.got, view);
+      if (!buf.is_write) op.out.subspan(n, view - n).fill_zero();
+      landed += n;
     }
-    // Scatter each extent's bytes into their file-space slots of the user
-    // buffer (no extra CPU copy is charged: the model is the Fast Path's
-    // DMA). The auditor cross-checks that the bytes the server reported
-    // are exactly the bytes that land — each range arrives once, none
-    // lost, none duplicated (only the surviving attempt scatters).
-    ByteCount delivered = 0;
-    for (std::size_t i = 0; i < extents.size(); ++i) {
-      delivered += scatter(extents[i].pieces, ops[i].out.data(), ops[i].got, buf.out, base);
+    if (pieces > 1) {
+      if (auto* a = sim.auditor()) {
+        a->check_coalesce_conservation(sim.now(), buf.is_write ? length : got, landed);
+      }
     }
-    rpc_stats_.staged_bytes += delivered;
-    if (auto* a = sim.auditor()) a->check_coalesce_conservation(sim.now(), got, delivered);
     co_return;
   }
 }

@@ -88,10 +88,6 @@ struct RpcStats {
   std::uint64_t coalesced_rpcs = 0;     // data RPCs that were scatter-gather
   std::uint64_t coalesced_extents = 0;  // extents those RPCs carried
   std::uint64_t stripe_map_refreshes = 0;  // cached stripe-map (re)loads
-  /// Payload bytes gathered into or scattered out of a staging image. An
-  /// extent that is one contiguous file range moves straight between the
-  /// caller's buffer and the server and adds nothing.
-  ByteCount staged_bytes = 0;
   std::uint64_t retries = 0;          // reissues after a failed attempt
   std::uint64_t retried_ok = 0;       // failed attempts eventually healed by retry
   std::uint64_t down_waits = 0;       // recovery waits for a down I/O node

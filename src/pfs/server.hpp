@@ -72,14 +72,16 @@ class PfsServer {
   PfsServer(const PfsServer&) = delete;
   PfsServer& operator=(const PfsServer&) = delete;
 
-  /// One stripe-file extent of a request.
+  /// One stripe-file extent of a request. Its bytes stay where the caller
+  /// keeps them: `out` and `in` view them in the caller's buffer, local
+  /// offset local_off + p at view position p.
   struct ExtentOp {
     ufs::InodeNum ino;
     FileOffset local_off = 0;
     ByteCount len = 0;
-    std::span<std::byte> out;       // read target (empty for writes)
-    std::span<const std::byte> in;  // write source (empty for reads)
-    ByteCount got = 0;              // bytes actually moved, filled by the server
+    ufs::OutBytes out;  // read target (empty for writes)
+    ufs::InBytes in;    // write source (empty for reads)
+    ByteCount got = 0;  // bytes actually moved, filled by the server
   };
 
   /// Serve one extent of a local stripe file: a read fills op.out, a write

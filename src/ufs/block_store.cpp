@@ -55,6 +55,16 @@ bool all_zero(std::span<const std::byte> s) {
   return std::all_of(p, end, [](std::byte b) { return b == std::byte{0}; });
 }
 
+/// True when every byte of the view is zero. Runs after the first non-zero
+/// one are not read.
+bool all_zero(InBytes s) {
+  bool zero = true;
+  s.for_each_run([&zero](const std::byte* p, ByteCount n) {
+    if (zero) zero = all_zero(std::span<const std::byte>(p, n));
+  });
+  return zero;
+}
+
 }  // namespace
 
 ContentArena::~ContentArena() {
@@ -92,7 +102,7 @@ std::byte* ContentArena::allocate(std::size_t bytes) {
 ContentStore::ContentStore(ContentArena& arena, ByteCount chunk_bytes)
     : arena_(arena), chunk_(chunk_bytes) {}
 
-void ContentStore::write(FileOffset offset, std::span<const std::byte> data) {
+void ContentStore::write(FileOffset offset, InBytes data) {
   FileOffset pos = offset;
   std::size_t done = 0;
   while (done < data.size()) {
@@ -100,15 +110,15 @@ void ContentStore::write(FileOffset offset, std::span<const std::byte> data) {
     const ByteCount in_chunk = pos % chunk_;
     const std::size_t n =
         std::min<std::size_t>(data.size() - done, static_cast<std::size_t>(chunk_ - in_chunk));
-    const std::span<const std::byte> src = data.subspan(done, n);
+    const InBytes src = data.subspan(done, n);
     if (std::byte** stored = chunks_.find(chunk_idx)) {
-      std::memcpy(*stored + in_chunk, src.data(), n);
+      src.copy_to(*stored + in_chunk);
     } else if (!all_zero(src)) {
       // Arena memory is never handed out twice, so a fresh chunk is still
       // the zero-filled page the kernel mapped: what this write leaves
       // uncovered already reads back as zero.
       std::byte* chunk = arena_.allocate(static_cast<std::size_t>(chunk_));
-      std::memcpy(chunk + in_chunk, src.data(), n);
+      src.copy_to(chunk + in_chunk);
       chunks_.get_or_insert(chunk_idx) = chunk;
     }
     pos += n;
@@ -116,7 +126,7 @@ void ContentStore::write(FileOffset offset, std::span<const std::byte> data) {
   }
 }
 
-void ContentStore::read(FileOffset offset, std::span<std::byte> out) const {
+void ContentStore::read(FileOffset offset, OutBytes out) const {
   FileOffset pos = offset;
   std::size_t done = 0;
   while (done < out.size()) {
@@ -124,10 +134,11 @@ void ContentStore::read(FileOffset offset, std::span<std::byte> out) const {
     const ByteCount in_chunk = pos % chunk_;
     const std::size_t n =
         std::min<std::size_t>(out.size() - done, static_cast<std::size_t>(chunk_ - in_chunk));
+    const OutBytes dst = out.subspan(done, n);
     if (const std::byte* const* stored = chunks_.find(chunk_idx)) {
-      std::memcpy(out.data() + done, *stored + in_chunk, n);
+      dst.copy_from(*stored + in_chunk);
     } else {
-      std::memset(out.data() + done, 0, n);
+      dst.fill_zero();
     }
     pos += n;
     done += n;

@@ -15,6 +15,7 @@
 #include "sim/flat_map.hpp"
 #include "sim/task.hpp"
 #include "sim/types.hpp"
+#include "ufs/strided_span.hpp"
 
 namespace ppfs::ufs {
 
@@ -121,8 +122,10 @@ class ContentStore {
   ContentStore(const ContentStore&) = delete;
   ContentStore& operator=(const ContentStore&) = delete;
 
-  void write(FileOffset offset, std::span<const std::byte> data);
-  void read(FileOffset offset, std::span<std::byte> out) const;
+  /// Store `data`'s bytes, in position order, at [offset, offset + size).
+  void write(FileOffset offset, InBytes data);
+  /// Copy [offset, offset + size) into `out`, in position order.
+  void read(FileOffset offset, OutBytes out) const;
   /// Make [offset, offset + bytes) read back as zeros: whole chunks leave
   /// the index, and a partly covered chunk is zeroed in the range.
   void discard(FileOffset offset, ByteCount bytes);

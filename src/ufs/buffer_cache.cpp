@@ -1,7 +1,6 @@
 #include "ufs/buffer_cache.hpp"
 
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 
 namespace ppfs::ufs {
@@ -77,15 +76,14 @@ sim::Task<void> BufferCache::ensure_valid(std::uint64_t phys) {
 }
 
 sim::Task<void> BufferCache::read(std::uint64_t phys, ByteCount offset_in_block,
-                                  std::span<std::byte> out) {
+                                  OutBytes out) {
   assert(offset_in_block + out.size() <= block_bytes_);
   co_await ensure_valid(phys);
   const Entry& e = entries_.at(phys);
-  std::memcpy(out.data(), e.data.get() + offset_in_block, out.size());
+  out.copy_from(e.data.get() + offset_in_block);
 }
 
-sim::Task<void> BufferCache::write(std::uint64_t phys, ByteCount offset_in_block,
-                                   std::span<const std::byte> in) {
+sim::Task<void> BufferCache::write(std::uint64_t phys, ByteCount offset_in_block, InBytes in) {
   assert(offset_in_block + in.size() <= block_bytes_);
   const bool partial = offset_in_block != 0 || in.size() != block_bytes_;
   if (partial) {
@@ -111,7 +109,7 @@ sim::Task<void> BufferCache::write(std::uint64_t phys, ByteCount offset_in_block
     }
   }
   Entry& e = entries_.at(phys);
-  std::memcpy(e.data.get() + offset_in_block, in.data(), in.size());
+  in.copy_to(e.data.get() + offset_in_block);
   touch(phys, e);
   // Write-through to the device (whole-block image).
   co_await flush_(phys, std::span<const std::byte>(e.data.get(), block_bytes_));

@@ -25,6 +25,7 @@
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 #include "sim/types.hpp"
+#include "ufs/strided_span.hpp"
 
 namespace ppfs::ufs {
 
@@ -44,14 +45,13 @@ class BufferCache {
   BufferCache(const BufferCache&) = delete;
   BufferCache& operator=(const BufferCache&) = delete;
 
-  /// Copy the block's first out.size() bytes (offset `offset_in_block`)
-  /// into `out`, loading it from the device on a miss.
-  sim::Task<void> read(std::uint64_t phys, ByteCount offset_in_block, std::span<std::byte> out);
+  /// Copy out.size() bytes of the block from `offset_in_block` into `out`,
+  /// loading it from the device on a miss.
+  sim::Task<void> read(std::uint64_t phys, ByteCount offset_in_block, OutBytes out);
 
   /// Write-through: update the cached image (write-allocate; a partial
   /// write of a cold block fills it first) and flush to the device.
-  sim::Task<void> write(std::uint64_t phys, ByteCount offset_in_block,
-                        std::span<const std::byte> in);
+  sim::Task<void> write(std::uint64_t phys, ByteCount offset_in_block, InBytes in);
 
   /// Drop a block if present (used when a file is deleted).
   void invalidate(std::uint64_t phys);

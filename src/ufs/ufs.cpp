@@ -92,8 +92,8 @@ void Ufs::contiguous_runs(const Inode& node, std::uint64_t first_block,
 }
 // ppfs::endhot
 
-sim::Task<ByteCount> Ufs::read(InodeNum ino, FileOffset off, ByteCount len,
-                               std::span<std::byte> out, bool fastpath) {
+sim::Task<ByteCount> Ufs::read(InodeNum ino, FileOffset off, ByteCount len, OutBytes out,
+                               bool fastpath) {
   const Inode& node = inodes_.get(ino);
   if (off >= node.size || len == 0) co_return 0;
   len = std::min<ByteCount>(len, node.size - off);
@@ -109,7 +109,7 @@ sim::Task<ByteCount> Ufs::read(InodeNum ino, FileOffset off, ByteCount len,
 }
 
 sim::Task<ByteCount> Ufs::read_fastpath(const Inode& node, FileOffset off, ByteCount len,
-                                        std::span<std::byte> out) {
+                                        OutBytes out) {
   const std::uint64_t first_block = off / params_.block_bytes;
   const std::uint64_t block_count = len / params_.block_bytes;
   Runs runs;
@@ -166,7 +166,7 @@ sim::Task<void> Ufs::read_sorted(std::span<BatchRead> items) {
   // only a block-level merge can recover the streaming transfer.
   struct BlockRef {
     std::uint64_t phys;
-    std::byte* dst;
+    OutBytes dst;
     InodeNum ino;
     std::uint64_t generation;
     std::uint64_t lblock;
@@ -182,8 +182,8 @@ sim::Task<void> Ufs::read_sorted(std::span<BatchRead> items) {
     const std::uint64_t count = item.len / params_.block_bytes;
     for (std::uint64_t i = 0; i < count; ++i) {
       refs.push_back(BlockRef{node.blocks.at(first + i),
-                              item.out.data() + i * params_.block_bytes, node.ino,
-                              node.generation, first + i});
+                              item.out.subspan(i * params_.block_bytes, params_.block_bytes),
+                              node.ino, node.generation, first + i});
     }
   }
   std::stable_sort(refs.begin(), refs.end(),
@@ -217,15 +217,14 @@ sim::Task<void> Ufs::read_sorted(std::span<BatchRead> items) {
       }
     }
     for (std::size_t k = i; k < j; ++k) {
-      content_.read(device_offset(refs[k].phys, 0),
-                    std::span<std::byte>(refs[k].dst, params_.block_bytes));
+      content_.read(device_offset(refs[k].phys, 0), refs[k].dst);
     }
     i = j;
   }
 }
 
 sim::Task<ByteCount> Ufs::read_buffered(const Inode& node, FileOffset off, ByteCount len,
-                                        std::span<std::byte> out) {
+                                        OutBytes out) {
   ByteCount done = 0;
   while (done < len) {
     const FileOffset pos = off + done;
@@ -290,8 +289,7 @@ void Ufs::issue_readahead(const Inode& node, std::uint64_t last_block) {
   }
 }
 
-sim::Task<void> Ufs::write(InodeNum ino, FileOffset off, std::span<const std::byte> in,
-                           bool fastpath) {
+sim::Task<void> Ufs::write(InodeNum ino, FileOffset off, InBytes in, bool fastpath) {
   if (in.empty()) co_return;
   Inode& node = inodes_.get(ino);
   ensure_allocated(node, off + in.size());

@@ -30,6 +30,7 @@
 #include "ufs/block_store.hpp"
 #include "ufs/buffer_cache.hpp"
 #include "ufs/inode.hpp"
+#include "ufs/strided_span.hpp"
 
 namespace ppfs::ufs {
 
@@ -87,23 +88,24 @@ class Ufs {
   }
 
   // --- data path ---
-  /// Read up to len bytes at off into out (out.size() >= len). Returns the
-  /// byte count actually read (clamped at EOF). `fastpath` requests the
-  /// cache-bypassing DMA path; it silently degrades to the buffered path
-  /// when the request is not block-aligned.
-  sim::Task<ByteCount> read(InodeNum ino, FileOffset off, ByteCount len,
-                            std::span<std::byte> out, bool fastpath);
+  /// Read up to len bytes at off into out (out.size() >= len): byte
+  /// off + p lands at out position p. Returns the byte count actually read
+  /// (clamped at EOF); positions past it are left alone. `fastpath`
+  /// requests the cache-bypassing DMA path; it silently degrades to the
+  /// buffered path when the request is not block-aligned.
+  sim::Task<ByteCount> read(InodeNum ino, FileOffset off, ByteCount len, OutBytes out,
+                            bool fastpath);
 
-  /// Write, extending the file (and allocating blocks) as needed.
-  sim::Task<void> write(InodeNum ino, FileOffset off, std::span<const std::byte> in,
-                        bool fastpath);
+  /// Write in.size() bytes at off, extending the file (and allocating
+  /// blocks) as needed.
+  sim::Task<void> write(InodeNum ino, FileOffset off, InBytes in, bool fastpath);
 
   /// One read of a physically-sorted batch (the PFS server's sweep).
   struct BatchRead {
     InodeNum ino;
     FileOffset off = 0;
     ByteCount len = 0;
-    std::span<std::byte> out;
+    OutBytes out;
     ByteCount got = 0;  // filled by read_sorted
   };
 
@@ -165,9 +167,9 @@ class Ufs {
                        std::uint64_t block_count, Runs& out) const;
 
   sim::Task<ByteCount> read_fastpath(const Inode& node, FileOffset off, ByteCount len,
-                                     std::span<std::byte> out);
+                                     OutBytes out);
   sim::Task<ByteCount> read_buffered(const Inode& node, FileOffset off, ByteCount len,
-                                     std::span<std::byte> out);
+                                     OutBytes out);
   /// Launch background cache fills for the blocks after `last_block`.
   void issue_readahead(const Inode& node, std::uint64_t last_block);
   sim::Task<void> readahead_one(std::uint64_t phys);

@@ -24,6 +24,9 @@ constexpr std::uint64_t kSeparateTagBase = 100;
 
 struct NodePlan {
   std::string file;
+  /// The mode the node opens its file in, and verifies its reads against:
+  /// the workload's mode on the shared file, M_ASYNC on a private one.
+  IoMode mode = IoMode::kUnix;
   std::uint64_t tag = kSharedTag;
   std::uint64_t reads = 0;
   ByteCount own_region_start = 0;  // seek target for unique-pointer modes
@@ -37,7 +40,7 @@ struct NodePlan {
 FileOffset expected_offset(const WorkloadSpec& w, const NodePlan& plan, int rank, int nprocs,
                            std::uint64_t k, FileOffset observed_ptr_after,
                            ByteCount got) {
-  switch (w.mode) {
+  switch (plan.mode) {
     case IoMode::kRecord:
       return (k * static_cast<FileOffset>(nprocs) + rank) * w.request_size;
     case IoMode::kUnix:
@@ -61,7 +64,7 @@ FileOffset expected_offset(const WorkloadSpec& w, const NodePlan& plan, int rank
 
 Task<void> reader(const WorkloadSpec& w, pfs::PfsClient& client, NodePlan plan,
                   sim::Barrier& start_line, detail::ReadTally& out, int rank, int nprocs) {
-  const int fd = co_await client.open(plan.file, w.separate_files ? IoMode::kAsync : w.mode);
+  const int fd = co_await client.open(plan.file, plan.mode);
   if (!w.use_fastpath) client.set_fastpath(fd, false);
   if (plan.seek_first && plan.own_region_start != 0) {
     co_await client.seek(fd, plan.own_region_start);
@@ -134,6 +137,7 @@ ExperimentResult Experiment::run(const WorkloadSpec& w, trace::TraceSink* sink,
     const ByteCount per_node = w.file_size / N;
     for (int r = 0; r < N; ++r) {
       plans[r].file = "sep" + std::to_string(r);
+      plans[r].mode = IoMode::kAsync;  // a private file needs no coordination
       plans[r].tag = kSeparateTagBase + r;
       plans[r].reads = per_node / w.request_size;
       // Stagger each file's first stripe placement (rotate the group), as
@@ -149,6 +153,7 @@ ExperimentResult Experiment::run(const WorkloadSpec& w, trace::TraceSink* sink,
     fs.create("shared", attrs);
     for (int r = 0; r < N; ++r) {
       plans[r].file = "shared";
+      plans[r].mode = w.mode;
       switch (w.mode) {
         case IoMode::kRecord:
           plans[r].reads = w.file_size / (w.request_size * static_cast<ByteCount>(N));

@@ -45,9 +45,8 @@ struct MachineSpec {
 /// The counter block every workload driver reports, filled in one place:
 /// the run skeleton's collect (src/workload/rig.cpp). Two scopes:
 ///   - measured phase: the application-call counters (writes,
-///     bytes_written, the per-node read and write call times) and
-///     staged_bytes count only the phase the driver measures, never the
-///     populate before it;
+///     bytes_written, the per-node read and write call times) count only
+///     the phase the driver measures, never the populate before it;
 ///   - whole run (populate + phase): everything else, that is the protocol
 ///     and stack traffic (RPCs, tokens, write-back, mesh, servers, RAID,
 ///     cache tier, faults, prefetch), the digest and the footprint.
@@ -60,11 +59,6 @@ struct RunCounters {
   sim::SimTime max_node_read_time = 0;
   sim::SimTime max_node_write_time = 0;  // slowest node's total write-call time
   double observed_write_bw_mbs = 0;      // bytes_written / max_node_write_time
-  /// Payload bytes that went through a client staging image
-  /// (RpcStats::staged_bytes). The populate writes are left out: their 1 MB
-  /// chunks are multi-piece extents on a wide stripe, so they are always
-  /// staged.
-  ByteCount staged_bytes = 0;
 
   prefetch::PrefetchStats prefetch;  // summed across nodes (zero w/o engine)
 

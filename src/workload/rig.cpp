@@ -1,6 +1,10 @@
 #include "workload/rig.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <memory>
+#include <new>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -26,17 +30,38 @@ hw::MachineConfig machine_config(const MachineSpec& spec, Topology topology) {
   return cfg;
 }
 
+constexpr ByteCount kPopulateChunk = 1024 * 1024;
+
+/// kPopulateChunk bytes of zeros that nothing can write: a read-only
+/// anonymous mapping, so every page is the kernel's shared zero page and
+/// reading them costs no memory. Mapped once per process, never unmapped.
+std::span<const std::byte> zero_region() {
+  static const std::byte* const zeros = [] {
+    void* p = ::mmap(nullptr, kPopulateChunk, PROT_READ, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<const std::byte*>(p);
+  }();
+  return {zeros, kPopulateChunk};
+}
+
 }  // namespace
 
 sim::Task<void> populate(pfs::PfsClient& loader, std::string name, std::uint64_t tag,
                          ByteCount size) {
   const int fd = co_await loader.open(name, pfs::IoMode::kAsync);
-  const ByteCount chunk = std::min<ByteCount>(size, 1024 * 1024);
-  std::vector<std::byte> buf(chunk);
+  const ByteCount chunk = std::min<ByteCount>(size, kPopulateChunk);
+  // Tag 0 writes from the shared zero region. Any other tag fills its own
+  // buffer, left uninitialised: fill_pattern writes every byte it sends.
+  std::unique_ptr<std::byte[]> pattern;
+  std::span<const std::byte> src = zero_region();
+  if (tag != 0) {
+    pattern = std::make_unique_for_overwrite<std::byte[]>(chunk);
+    src = std::span<const std::byte>(pattern.get(), chunk);
+  }
   for (ByteCount off = 0; off < size; off += chunk) {
     const ByteCount n = std::min<ByteCount>(chunk, size - off);
-    if (tag != 0) fill_pattern(tag, off, std::span(buf).subspan(0, n));
-    co_await loader.write(fd, std::span<const std::byte>(buf).subspan(0, n));
+    if (tag != 0) fill_pattern(tag, off, std::span(pattern.get(), n));
+    co_await loader.write(fd, src.first(n));
   }
   loader.close(fd);
 }
@@ -74,8 +99,7 @@ void Rig::start_phase(const fault::FaultPlan& plan) {
   base_.clear();
   for (const auto& c : clients_) {
     const pfs::ClientStats& st = c->stats();
-    base_.push_back(Baseline{st.read_time, st.write_time, st.writes, st.bytes_written,
-                             c->rpc_stats().staged_bytes});
+    base_.push_back(Baseline{st.read_time, st.write_time, st.writes, st.bytes_written});
   }
   if (!plan.empty()) injector_.arm(plan, sim_.now());
 }
@@ -93,7 +117,6 @@ void Rig::collect(RunCounters& res, std::uint64_t app_errors) {
     res.max_node_write_time = std::max(res.max_node_write_time, st.write_time - b.write_time);
 
     const pfs::RpcStats& rpc = c.rpc_stats();
-    res.staged_bytes += rpc.staged_bytes - b.staged_bytes;
     res.data_rpcs += rpc.data_rpcs;
     res.metadata_rpcs += rpc.metadata_rpcs;
     res.pointer_rpcs += rpc.pointer_rpcs;

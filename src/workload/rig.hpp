@@ -42,8 +42,9 @@ namespace ppfs::workload::detail {
 enum class Topology { kParagon, kParagonScaled };
 
 /// Write `size` bytes into an existing file through the full stack, in 1 MB
-/// chunks. Tag 0 writes zeros (the I/O nodes' content stores keep no memory
-/// for them); any other tag writes its test pattern. `name` is taken by
+/// chunks. Tag 0 writes zeros from one read-only zero region (the I/O
+/// nodes' content stores keep no memory for them); any other tag writes its
+/// test pattern. `name` is taken by
 /// value: the Task is stored and awaited later, so a reference to a caller
 /// temporary would dangle.
 sim::Task<void> populate(pfs::PfsClient& loader, std::string name, std::uint64_t tag,
@@ -98,7 +99,6 @@ class Rig {
     sim::SimTime write_time = 0;
     std::uint64_t writes = 0;
     ByteCount bytes_written = 0;
-    ByteCount staged_bytes = 0;
   };
 
   // Declaration order is construction order: the arena's high-water is

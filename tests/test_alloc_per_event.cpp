@@ -45,13 +45,16 @@ std::atomic<std::uint64_t> g_operator_new_calls{0};
 
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Out of line, with the deletes below: once inlined, GCC's
+// -Wmismatched-new-delete sees the malloc and the free and pairs the wrong
+// operators, though new and delete here always go together.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 // The array forms count on their own: a sanitizer runtime's operator new[]
 // does not forward to the operator new above.
@@ -221,9 +224,39 @@ TEST(AllocPerEvent, ExperimentOnThePaperShape) {
   });
   ASSERT_GT(row.events, 5000u);
   EXPECT_LE(row.per_event(), 0.05) << row.news << " allocations over " << row.events;
-  // 192 of these are blocks of 4 KB or more, the staging images data_rpc
-  // allocates for the populate writes.
-  EXPECT_EQ(row.news, 242u) << row.per_event() << " allocations per event";
+  // 24 MB more populate and read add 50 small allocations. When data_rpc
+  // staged every multi-piece extent, its images for the populate's 1 MB
+  // writes made this 242.
+  EXPECT_EQ(row.news, 50u) << row.per_event() << " allocations per event";
+}
+
+TEST(AllocPerEvent, CoalescedMultiPieceReadOn16KiBUnits) {
+  // 8x8 M_RECORD reads of 1 MiB over 16 KiB units on all eight I/O nodes,
+  // coalesced: each read sends every node one RPC whose extent is eight
+  // pieces, as are the populate's 1 MB writes. An 8 MB vs a 32 MB file.
+  workload::MachineSpec m;
+  m.pfs.coalesce_rpcs = true;
+  workload::WorkloadSpec w;
+  w.mode = pfs::IoMode::kRecord;
+  w.request_size = 1024 * 1024;
+  w.prefetch = false;
+  pfs::StripeAttrs attrs;
+  attrs.stripe_unit = 16 * 1024;
+  attrs.stripe_group = {0, 1, 2, 3, 4, 5, 6, 7};
+  w.attrs = attrs;
+  const Row row = measure([&](bool long_run) {
+    workload::WorkloadSpec s = w;
+    s.file_size = (long_run ? 32 : 8) * 1024 * 1024;
+    const auto r = workload::Experiment(m).run(s);
+    EXPECT_EQ(r.total_bytes, s.file_size);
+    EXPECT_EQ(r.coalesced_rpcs, r.data_rpcs);
+    return r.events_dispatched;
+  });
+  ASSERT_GT(row.events, 1000u);
+  EXPECT_LE(row.per_event(), 0.05) << row.news << " allocations over " << row.events;
+  // With every coalesced RPC staged, the populate writes and the reads
+  // made this 434.
+  EXPECT_EQ(row.news, 50u) << row.per_event() << " allocations per event";
 }
 
 TEST(AllocPerEvent, FreshContentChunksAllocateOnlyForIndexGrowth) {

@@ -328,18 +328,17 @@ TEST(PfsClient, ReadPastEofClampsAndReturnsZeroAtEof) {
 
 TEST(PfsClient, ReadAcrossEofLeavesBytesPastTheCountUntouched) {
   // Two clamped reads that cross EOF. From 40 KB in a 100 KB file, each
-  // slot's extent is one piece, which is read straight into the caller's
-  // buffer. From 0 in a 600 KB file, slots 0-1 get two pieces each, which
-  // go through a staging image. Either way, nothing past the returned
-  // count is written.
+  // slot's extent is one piece (two RPCs). From 0 in a 600 KB file, slots
+  // 0-1 get two pieces each (eight RPCs). Every extent is read straight
+  // into the caller's buffer through its view, and nothing past the
+  // returned count is written.
   constexpr auto kSentinel = std::byte{0x5a};
   struct Case {
     ByteCount file_size;
     FileOffset off;
-    ByteCount staged;
+    std::uint64_t rpcs;
   };
-  for (const Case c : {Case{100 * 1024, 40 * 1024, 0},
-                       Case{600 * 1024, 0, 2 * kSU + (kSU + 24 * 1024)}}) {
+  for (const Case c : {Case{100 * 1024, 40 * 1024, 2}, Case{600 * 1024, 0, 8}}) {
     Testbed tb;
     tb.populate("f", c.file_size);
     std::vector<std::byte> buf(1024 * 1024, kSentinel);
@@ -355,16 +354,16 @@ TEST(PfsClient, ReadAcrossEofLeavesBytesPastTheCountUntouched) {
     for (std::size_t i = got; i < buf.size(); ++i) {
       ASSERT_EQ(buf[i], kSentinel) << "byte " << i << " past the count was written";
     }
-    EXPECT_EQ(tb.clients[1]->rpc_stats().staged_bytes, c.staged);
+    EXPECT_EQ(tb.clients[1]->rpc_stats().data_rpcs, c.rpcs);
   }
 }
 
 TEST(PfsClient, HolesReadAsZerosOnBothPaths) {
   // Units 0-7 and 9 are written, unit 8 never is: stripe file 0 ends one
-  // unit before the PFS file does. Reading all ten units stages slot 0's
-  // two-piece extent (units 0 and 8); reading unit 8 alone is one piece,
-  // read straight into the buffer. Both count the hole and fill it with
-  // zeros, and staged_bytes counts only the bytes the servers returned.
+  // unit before the PFS file does. Reading all ten units gives slot 0 a
+  // two-piece extent (units 0 and 8) whose server returns unit 0 only;
+  // reading unit 8 alone is one piece. Both count the hole and fill it
+  // with zeros through the extent's view.
   Testbed tb;
   tb.fs.create("h", tb.fs.default_attrs());
   const auto head = make_pattern(1, 0, 8 * kSU);
@@ -395,17 +394,19 @@ TEST(PfsClient, HolesReadAsZerosOnBothPaths) {
   EXPECT_TRUE(std::all_of(got.begin() + 8 * kSU, got.begin() + 9 * kSU, is_zero));
   EXPECT_TRUE(check_pattern(got.subspan(9 * kSU), 1, 9 * kSU));
   EXPECT_TRUE(std::all_of(unit8.begin(), unit8.end(), is_zero));
-  // Slot 0 returned unit 0 only; slot 1 returned units 1 and 9.
-  EXPECT_EQ(tb.clients[1]->rpc_stats().staged_bytes, 3 * kSU);
+  // Eight RPCs for the ten units (slots 0 and 1 carry two pieces each),
+  // one for unit 8.
+  EXPECT_EQ(tb.clients[1]->rpc_stats().data_rpcs, 9u);
 }
 
-TEST(PfsClient, MultiPieceExtentsAreStagedExactlyAndStayByteExact) {
+TEST(PfsClient, MultiPieceExtentsLandOnceAndStayByteExact) {
   // 640 KB from 32 KB over eight 64 KB stripe units. Slots 0-2 each get two
-  // pieces (32+64, 64+64 and 64+32 KB), so they take the staged path; slots
-  // 3-7 get one piece each and skip it. staged_bytes counts exactly the
-  // scattered bytes.
+  // pieces (32+64, 64+64 and 64+32 KB), slots 3-7 one piece each. Every
+  // extent lands through its view, and the servers read each byte once.
   Testbed tb;
   tb.populate("f", 1024 * 1024);
+  ByteCount served_before = 0;
+  for (int io = 0; io < 8; ++io) served_before += tb.fs.server(io).ufs().stats().bytes_read;
   std::vector<std::byte> buf(640 * 1024);
   ByteCount got = 0;
   run_task(tb.sim, [](Testbed& t, std::span<std::byte> out, ByteCount& n) -> Task<void> {
@@ -416,7 +417,9 @@ TEST(PfsClient, MultiPieceExtentsAreStagedExactlyAndStayByteExact) {
   EXPECT_EQ(got, buf.size());
   EXPECT_TRUE(check_pattern(buf, 1, 32 * 1024));
   EXPECT_EQ(tb.clients[1]->rpc_stats().data_rpcs, 8u);
-  EXPECT_EQ(tb.clients[1]->rpc_stats().staged_bytes, 320u * 1024);
+  ByteCount served = 0;
+  for (int io = 0; io < 8; ++io) served += tb.fs.server(io).ufs().stats().bytes_read;
+  EXPECT_EQ(served - served_before, buf.size());
 }
 
 TEST(PfsClient, LostReplyOnADirectExtentIsReissuedByteExact) {
@@ -441,7 +444,7 @@ TEST(PfsClient, LostReplyOnADirectExtentIsReissuedByteExact) {
   const RpcStats& rpc = tb.clients[1]->rpc_stats();
   EXPECT_EQ(rpc.retries, 1u);
   EXPECT_EQ(rpc.retried_ok, 1u);
-  EXPECT_EQ(rpc.staged_bytes, 0u);
+  EXPECT_EQ(rpc.data_rpcs, 1u);
 }
 
 TEST(PfsClient, SeekMovesPointer) {

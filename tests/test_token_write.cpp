@@ -397,9 +397,9 @@ TEST(WriteWorkload, CheckpointOwnSlotsVerifiesClean) {
   EXPECT_GT(r.token_rpcs, 0u);
   EXPECT_GT(r.wb_writes, 0u);
   EXPECT_GT(r.wb_flush_ops, 0u);
-  // Every record and peer read-back is one stripe unit per I/O node, so no
-  // payload byte passes through a client staging image.
-  EXPECT_EQ(r.staged_bytes, 0u);
+  // Every record and peer read-back is one stripe unit per I/O node: one
+  // data RPC per extent.
+  EXPECT_EQ(r.data_rpcs, 32u);
 }
 
 TEST(WriteWorkload, CheckpointConflictingIsSequentiallyConsistent) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -12,6 +14,7 @@
 #include "ufs/block_store.hpp"
 #include "ufs/buffer_cache.hpp"
 #include "ufs/inode.hpp"
+#include "ufs/strided_span.hpp"
 #include "ufs/ufs.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -28,6 +31,64 @@ using sim::Simulation;
 using sim::Task;
 
 constexpr auto is_zero = [](std::byte b) { return b == std::byte{0}; };
+
+// Ten positions in runs of 4 bytes every 10, the first run skewed by 1:
+// positions 0-2 at buf[0, 3), 3-6 at buf[9, 13), 7-9 at buf[19, 22).
+constexpr ByteCount kViewSize = 10, kViewSkew = 1, kViewRun = 4, kViewStride = 10;
+const std::vector<std::ptrdiff_t> kViewAddrs{0, 1, 2, 9, 10, 11, 12, 19, 20, 21};
+
+TEST(StridedSpan, PositionsMapToRunsAtTheStride) {
+  std::vector<std::byte> buf(30);
+  const OutBytes v(buf.data(), kViewSize, kViewSkew, kViewRun, kViewStride);
+  ASSERT_EQ(v.size(), kViewSize);
+  for (ByteCount p = 0; p < kViewSize; ++p) EXPECT_EQ(v.at(p) - buf.data(), kViewAddrs[p]);
+  std::vector<std::pair<std::ptrdiff_t, ByteCount>> runs;
+  v.for_each_run([&](std::byte* p, ByteCount n) { runs.emplace_back(p - buf.data(), n); });
+  EXPECT_EQ(runs, (std::vector<std::pair<std::ptrdiff_t, ByteCount>>{{0, 3}, {9, 4}, {19, 3}}));
+  // A subspan keeps the mapping, from any position.
+  for (ByteCount pos = 0; pos < kViewSize; ++pos) {
+    const OutBytes sub = v.subspan(pos, kViewSize - pos);
+    for (ByteCount q = 0; q < sub.size(); ++q) EXPECT_EQ(sub.at(q), v.at(pos + q));
+  }
+}
+
+TEST(StridedSpan, CopiesMoveBytesInPositionOrderAndLeaveTheGaps) {
+  std::vector<std::byte> buf(30, std::byte{0xee});
+  const OutBytes v(buf.data(), kViewSize, kViewSkew, kViewRun, kViewStride);
+  const auto src = make_pattern(1, 0, kViewSize);
+  v.copy_from(src.data());
+  std::vector<std::byte> back(kViewSize);
+  InBytes(v).copy_to(back.data());
+  EXPECT_EQ(back, src);
+  v.subspan(2, 3).fill_zero();  // positions 2-4: buf[2], buf[9], buf[10]
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    const auto at =
+        std::find(kViewAddrs.begin(), kViewAddrs.end(), static_cast<std::ptrdiff_t>(i));
+    if (at == kViewAddrs.end()) {
+      EXPECT_EQ(buf[i], std::byte{0xee}) << "gap byte " << i << " was written";
+      continue;
+    }
+    const auto p = static_cast<std::size_t>(at - kViewAddrs.begin());
+    EXPECT_EQ(buf[i], p >= 2 && p <= 4 ? std::byte{0} : src[p]) << "position " << p;
+  }
+}
+
+TEST(StridedSpan, ASpanOrAViewInsideOneRunIsOneRun) {
+  std::vector<std::byte> buf(100);
+  const OutBytes whole(buf);
+  const OutBytes inside(buf.data() + 3, 5, /*skew=*/3, /*run=*/8, /*stride=*/64);
+  for (const OutBytes& v : {whole, inside}) {
+    int runs = 0;
+    v.for_each_run([&](std::byte*, ByteCount n) {
+      ++runs;
+      EXPECT_EQ(n, v.size());
+    });
+    EXPECT_EQ(runs, 1);
+    for (ByteCount p = 0; p < v.size(); ++p) EXPECT_EQ(v.at(p), v.at(0) + p);
+  }
+  EXPECT_EQ(whole.at(99), &buf[99]);
+  EXPECT_EQ(inside.at(0), &buf[3]);
+}
 
 TEST(ContentStore, UnwrittenReadsAsZero) {
   ContentArena arena;

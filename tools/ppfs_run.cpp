@@ -69,9 +69,9 @@ void print_result(const char* label, const ExperimentResult& r) {
       std::printf("\n");
     }
   }
-  std::printf("  rpcs: data=%llu metadata=%llu pointer=%llu staged=%s",
+  std::printf("  rpcs: data=%llu metadata=%llu pointer=%llu",
               (unsigned long long)r.data_rpcs, (unsigned long long)r.metadata_rpcs,
-              (unsigned long long)r.pointer_rpcs, fmt_bytes(r.staged_bytes).c_str());
+              (unsigned long long)r.pointer_rpcs);
   if (r.coalesced_rpcs > 0) {
     std::printf(" coalesced=%llu (%.1f extents/rpc, %llu map refreshes)",
                 (unsigned long long)r.coalesced_rpcs,
@@ -158,9 +158,9 @@ void print_write_result(const char* label, const ExperimentResult& r) {
               (unsigned long long)r.wb_capacity_evictions,
               fmt_bytes(r.wb_flushed_bytes).c_str(),
               fmt_bytes(r.wb_peak_dirty_bytes).c_str());
-  std::printf("  rpcs: data=%llu metadata=%llu pointer=%llu staged=%s",
+  std::printf("  rpcs: data=%llu metadata=%llu pointer=%llu",
               (unsigned long long)r.data_rpcs, (unsigned long long)r.metadata_rpcs,
-              (unsigned long long)r.pointer_rpcs, fmt_bytes(r.staged_bytes).c_str());
+              (unsigned long long)r.pointer_rpcs);
   if (r.coalesced_rpcs > 0) {
     std::printf(" coalesced=%llu", (unsigned long long)r.coalesced_rpcs);
   }
