@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_commit.hpp"  // PPFS_BENCH_COMMIT, from bench/bench_commit.cmake
 #include "exp/sweep.hpp"
 #include "workload/experiment.hpp"
 #include "workload/report.hpp"
@@ -138,10 +139,11 @@ inline JsonObject outcome_json(const exp::SweepOutcome& o) {
   return row;
 }
 
-/// A BENCH_*.json document: the bench's name, then the build and host that
-/// measured it. A host-time figure from a Debug or SimCheck build, or from
-/// a one-core machine, says nothing about a Release build on four cores.
-/// PPFS_BUILD_TYPE comes from bench/CMakeLists.txt.
+/// A BENCH_*.json document: the bench's name, then the commit, build and
+/// host that measured it. A host-time figure from a Debug or SimCheck
+/// build, or from a one-core machine, says nothing about a Release build on
+/// four cores. PPFS_BUILD_TYPE and PPFS_BENCH_COMMIT (`git describe` at
+/// build time, "unknown" outside a checkout) come from bench/CMakeLists.txt.
 inline JsonObject bench_doc(std::string_view bench, bool quick) {
 #if defined(NDEBUG)
   constexpr bool ndebug = true;
@@ -162,6 +164,7 @@ inline JsonObject bench_doc(std::string_view bench, bool quick) {
 #endif
   JsonObject doc;
   doc.field("bench", std::string(bench))
+      .field("commit", PPFS_BENCH_COMMIT)
       .field("build_type", PPFS_BUILD_TYPE)
       .field("ndebug", ndebug)
       .field("simcheck", simcheck)

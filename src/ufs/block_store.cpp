@@ -35,6 +35,68 @@ std::byte* map_slab(std::size_t bytes) {
   return reinterpret_cast<std::byte*>(base);
 }
 
+/// Give `bytes` at `base` back to the kernel.
+void unmap_slab(std::byte* base, std::size_t bytes) noexcept {
+  // munmap does not clear ASan's shadow, and a later mapping may reuse
+  // the range.
+  ASAN_UNPOISON_MEMORY_REGION(base, bytes);
+  ::munmap(base, bytes);
+}
+
+/// Set on a thread once its SlabList has unmapped its slabs at thread exit.
+/// Trivially destructible, so it stays readable while later thread-exit and
+/// static destructors run.
+constinit thread_local bool t_slab_list_gone = false;
+
+/// The calling thread's free slabs, which outlive the arenas that mapped
+/// them (ContentArena). Each is linked to the next through its own first
+/// word, so returning a slab allocates nothing. Under ASan a pooled slab
+/// is poisoned but for that word, so a store that writes through a dead
+/// mount's chunk is reported.
+class SlabList {
+ public:
+  /// The calling thread's list, or nullptr once it was torn down: an arena
+  /// that dies later (a static one) then unmaps its own slabs.
+  static SlabList* local() noexcept {
+    if (t_slab_list_gone) return nullptr;
+    thread_local SlabList list;
+    return &list;
+  }
+
+  ~SlabList() {
+    while (std::byte* slab = pop()) unmap_slab(slab, ContentArena::kSlabBytes);
+    t_slab_list_gone = true;
+  }
+
+  void push(std::byte* slab) noexcept {
+    ASAN_POISON_MEMORY_REGION(slab, ContentArena::kSlabBytes);
+    ASAN_UNPOISON_MEMORY_REGION(slab, sizeof head_);
+    std::memcpy(slab, &head_, sizeof head_);
+    head_ = slab;
+  }
+
+  /// The most recently pushed slab, or nullptr when the list is empty.
+  std::byte* pop() noexcept {
+    std::byte* slab = head_;
+    if (slab != nullptr) std::memcpy(&head_, slab, sizeof head_);
+    return slab;
+  }
+
+ private:
+  std::byte* head_ = nullptr;
+};
+
+/// A slab of a dying arena goes onto the thread's free list, unless it is
+/// larger than a slab or the list is gone; then it is unmapped.
+void release_slab(std::byte* base, std::size_t bytes) noexcept {
+  SlabList* list = bytes == ContentArena::kSlabBytes ? SlabList::local() : nullptr;
+  if (list != nullptr) {
+    list->push(base);
+  } else {
+    unmap_slab(base, bytes);
+  }
+}
+
 /// True when every byte of `s` is zero. Pattern data pays one compare:
 /// its first word is tested alone. Zeros are then OR-ed 64 bytes at a
 /// time, a loop the compiler vectorises, with an exit after each block.
@@ -68,23 +130,22 @@ bool all_zero(InBytes s) {
 }  // namespace
 
 ContentArena::~ContentArena() {
-  for (const Slab& s : slabs_) {
-    // munmap does not clear ASan's shadow, and a later mapping may reuse
-    // the range.
-    ASAN_UNPOISON_MEMORY_REGION(s.base, s.bytes);
-    ::munmap(s.base, s.bytes);
-  }
+  for (const Slab& s : slabs_) release_slab(s.base, s.bytes);
 }
 
 std::byte* ContentArena::allocate(std::size_t bytes) {
   const std::size_t take = round_up(bytes, kChunkAlign);
   if (static_cast<std::size_t>(end_ - next_) < take) {
     const std::size_t slab_bytes = round_up(take, kSlabBytes);
-    std::byte* base = map_slab(slab_bytes);
+    std::byte* base = nullptr;
+    if (slab_bytes == kSlabBytes) {
+      if (SlabList* list = SlabList::local()) base = list->pop();
+    }
+    if (base == nullptr) base = map_slab(slab_bytes);
     try {
       slabs_.push_back(Slab{base, slab_bytes});
     } catch (...) {
-      ::munmap(base, slab_bytes);
+      release_slab(base, slab_bytes);
       throw;
     }
     // Under ASan, bytes not yet handed out are poisoned, so an overrun past
@@ -114,11 +175,14 @@ void ContentStore::write(FileOffset offset, InBytes data) {
     if (std::byte** stored = chunks_.find(chunk_idx)) {
       src.copy_to(*stored + in_chunk);
     } else if (!all_zero(src)) {
-      // Arena memory is never handed out twice, so a fresh chunk is still
-      // the zero-filled page the kernel mapped: what this write leaves
-      // uncovered already reads back as zero.
+      // A fresh chunk may lie in a slab a dead mount used, so the bytes
+      // this first write leaves uncovered are zeroed. Every write the full
+      // stack makes covers whole blocks, and a chunk is a block, so there
+      // both ranges are empty.
       std::byte* chunk = arena_.allocate(static_cast<std::size_t>(chunk_));
+      std::memset(chunk, 0, in_chunk);
       src.copy_to(chunk + in_chunk);
+      std::memset(chunk + in_chunk + n, 0, chunk_ - in_chunk - n);
       chunks_.get_or_insert(chunk_idx) = chunk;
     }
     pos += n;

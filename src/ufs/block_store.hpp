@@ -73,18 +73,26 @@ class NullBlockDevice final : public BlockDevice {
   ByteCount bytes_ = 0;
 };
 
-/// Chunk memory for the content stores of one mount. It maps 2 MiB slabs,
-/// 2 MiB-aligned and advised MADV_HUGEPAGE, and hands out chunks by bumping
-/// a pointer through the newest slab. Its destructor unmaps every slab, so
-/// no content memory outlives the mount: slabs kept for the next machine
-/// would hide that machine's first-touch cost and hold memory between runs.
+/// Chunk memory for the content stores of one mount, in 2 MiB slabs,
+/// 2 MiB-aligned and advised MADV_HUGEPAGE; chunks are handed out by
+/// bumping a pointer through the newest slab.
+///
+/// Slabs outlive the mount. Each thread keeps one free list of 2 MiB
+/// slabs: a dying arena puts its slabs there, and a new arena on the same
+/// thread takes from it before it maps a fresh one. So the machines a
+/// thread runs one after another (sweep workers, benches, repeated driver
+/// calls) pay the kernel to fault in and zero their content image once,
+/// not once per machine. A thread maps a slab only when its list is
+/// empty, so the content memory it holds never exceeds the most it had
+/// live at once; the list unmaps its slabs at thread exit, as the
+/// FrameArena does. Threads share nothing. A slab larger than 2 MiB (a
+/// request larger than a slab) is unmapped with its arena.
 ///
 /// One arena per mount, not per store: the mount then leaves at most one
 /// partly used slab, where per-store arenas would leave one per store.
-/// Huge pages are the point: a fresh 128 MB image faults 64 times on
-/// 2 MiB pages against 32,768 times on 4 KiB ones. Where the kernel
-/// refuses the advice (THP off), a slab stays on 4 KiB pages and nothing
-/// else changes.
+/// Huge pages: a fresh 128 MB image faults 64 times on 2 MiB pages
+/// against 32,768 times on 4 KiB ones. Where the kernel refuses the advice
+/// (THP off), a slab stays on 4 KiB pages and nothing else changes.
 class ContentArena {
  public:
   ContentArena() = default;
@@ -92,9 +100,9 @@ class ContentArena {
   ContentArena(const ContentArena&) = delete;
   ContentArena& operator=(const ContentArena&) = delete;
 
-  /// `bytes` of zero-filled memory, 64-byte aligned, valid until the arena
-  /// dies. It is never handed out again, so it stays zero until written.
-  /// A request larger than a slab gets a slab of its own.
+  /// `bytes` of uninitialised memory, 64-byte aligned, valid until the
+  /// arena dies: a slab from the thread's free list still holds a dead
+  /// mount's bytes. A request larger than a slab gets a slab of its own.
   std::byte* allocate(std::size_t bytes);
 
   std::size_t slab_count() const noexcept { return slabs_.size(); }
@@ -115,7 +123,8 @@ class ContentArena {
 ///
 /// A chunk is stored only once a write puts a non-zero byte in it: a write
 /// of all zeros into an absent chunk changes nothing a read can see. Chunk
-/// memory comes from the mount's ContentArena and goes back only with it.
+/// memory comes from the mount's ContentArena and goes back only with it;
+/// the first write of a chunk zeroes what it leaves uncovered.
 class ContentStore {
  public:
   ContentStore(ContentArena& arena, ByteCount chunk_bytes);

@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -121,9 +124,8 @@ TEST(ContentStore, RoundTripsAcrossChunkBoundaries) {
 }
 
 TEST(ContentStore, PartialWriteOfAFreshChunkLeavesTheRestZero) {
-  // Nothing zeroes a fresh chunk: it relies on arena memory never being
-  // handed out twice. A chunk full of pattern bytes is discarded first, so
-  // its bytes would show here if its memory came back as the fresh chunk.
+  // A chunk full of pattern bytes is discarded first, so its bytes would
+  // show here if its memory came back as the fresh chunk unzeroed.
   ContentArena arena;
   ContentStore cs(arena, 4096);
   cs.write(8192, make_pattern(9, 8192, 4096));
@@ -241,7 +243,106 @@ TEST(ContentArena, StoresSharingAnArenaKeepTheirOwnBytes) {
   }
 }
 
+// The 2 MiB slab a chunk lies in (slabs are 2 MiB-aligned).
+std::uintptr_t slab_of(const std::byte* p) {
+  return reinterpret_cast<std::uintptr_t>(p) & ~std::uintptr_t{ContentArena::kSlabBytes - 1};
+}
+
+// Fills `slabs` whole slabs of a fresh arena with non-zero bytes, destroys
+// it, and returns its slabs, which now sit on this thread's free list. Each
+// test makes its own: ctest runs every case in a process of its own, where
+// the list starts empty.
+std::vector<std::uintptr_t> fill_and_destroy_an_arena(std::size_t slabs) {
+  constexpr std::size_t kPiece = 64 * 1024;  // divides a slab: every byte is written
+  std::vector<std::uintptr_t> held;
+  ContentArena arena;
+  for (std::size_t k = 0; k < slabs * (ContentArena::kSlabBytes / kPiece); ++k) {
+    std::byte* p = arena.allocate(kPiece);
+    std::memset(p, 0xa5, kPiece);
+    if (held.empty() || held.back() != slab_of(p)) held.push_back(slab_of(p));
+  }
+  EXPECT_EQ(arena.slab_count(), slabs);
+  return held;
+}
+
+TEST(ContentStore, FreshChunkOnAReusedSlabReadsZeroOutsideItsFirstWrite) {
+  // A's slabs hold 0xa5 everywhere. B's chunks come from them, and each
+  // chunk's first write covers only its start, middle or end: the rest must
+  // read back as zero. 2.5 MiB of chunks crosses a slab end at each size,
+  // and 3000-byte chunks leave a ragged slab tail and gaps of A's bytes.
+  for (const ByteCount chunk : {ByteCount{4096}, ByteCount{64 * 1024}, ByteCount{3000}}) {
+    SCOPED_TRACE(chunk);
+    const std::vector<std::uintptr_t> held = fill_and_destroy_an_arena(3);
+    ContentArena arena;
+    ContentStore cs(arena, chunk);
+    const ByteCount len = chunk / 4;
+    const std::uint64_t chunks = (5 * ContentArena::kSlabBytes / 4) / chunk;
+    // Chunk c's first write: at its start, in its middle or at its end.
+    const auto first_write_at = [&](std::uint64_t c) -> ByteCount {
+      return c % 3 == 0 ? 0 : c % 3 == 1 ? chunk / 3 : chunk - len;
+    };
+    for (std::uint64_t c = 0; c < chunks; ++c) {
+      const FileOffset off = c * chunk + first_write_at(c);
+      cs.write(off, make_pattern(c, off, len));
+    }
+    ASSERT_EQ(cs.chunk_count(), chunks);
+    EXPECT_EQ(arena.slab_count(), 2u);
+    std::vector<std::byte> back(chunk);
+    for (std::uint64_t c = 0; c < chunks; ++c) {
+      cs.read(c * chunk, back);
+      const ByteCount at = first_write_at(c);
+      ASSERT_TRUE(std::all_of(back.begin(), back.begin() + at, is_zero)) << "chunk " << c;
+      ASSERT_TRUE(check_pattern(std::span(back).subspan(at, len), c, c * chunk + at))
+          << "chunk " << c;
+      ASSERT_TRUE(std::all_of(back.begin() + at + len, back.end(), is_zero)) << "chunk " << c;
+    }
+    // B's chunks lay in A's slabs, or this proved nothing.
+    EXPECT_TRUE(std::find(held.begin(), held.end(), slab_of(arena.allocate(1))) != held.end());
+  }
+}
+
+TEST(ContentArena, TheNextArenaOnAThreadTakesADeadArenasSlabs) {
+  const std::vector<std::uintptr_t> held = fill_and_destroy_an_arena(3);
+  ASSERT_EQ(held.size(), 3u);
+  const auto was_held = [&](const std::byte* p) {
+    return std::find(held.begin(), held.end(), slab_of(p)) != held.end();
+  };
+  // Another thread's arena takes none of them: each thread has its own list.
+  const std::byte* elsewhere = nullptr;
+  std::thread([&elsewhere] {
+    ContentArena arena;
+    elsewhere = arena.allocate(4096);
+  }).join();
+  EXPECT_FALSE(was_held(elsewhere));
+  // This thread's next arena maps nothing while the list holds a slab, so
+  // its first three slabs are A's.
+  ContentArena arena;
+  EXPECT_TRUE(was_held(arena.allocate(4096)));
+  for (int k = 1; k < 3 * 32; ++k) EXPECT_TRUE(was_held(arena.allocate(64 * 1024))) << k;
+  EXPECT_EQ(arena.slab_count(), 3u);
+  EXPECT_FALSE(was_held(arena.allocate(64 * 1024)));
+}
+
 #if defined(__SANITIZE_ADDRESS__)
+TEST(ContentArena, PooledSlabIsPoisonedUntilHandedOut) {
+  std::byte* chunk = nullptr;
+  {
+    ContentArena dead;
+    chunk = dead.allocate(4096);
+    std::memset(chunk, 0xa5, 4096);
+  }
+  // The slab's first word links the list; every byte past it is poisoned.
+  EXPECT_TRUE(__asan_address_is_poisoned(chunk + sizeof(void*)));
+  EXPECT_TRUE(__asan_address_is_poisoned(chunk + 4095));
+  EXPECT_TRUE(__asan_address_is_poisoned(chunk + ContentArena::kSlabBytes - 1));
+  ContentArena arena;
+  std::byte* again = arena.allocate(4096);
+  ASSERT_EQ(again, chunk);
+  EXPECT_FALSE(__asan_address_is_poisoned(again + sizeof(void*)));
+  EXPECT_FALSE(__asan_address_is_poisoned(again + 4095));
+  EXPECT_TRUE(__asan_address_is_poisoned(again + 4096));
+}
+
 TEST(ContentArena, PoisonsTheBytesPastTheLastChunk) {
   ContentArena arena;
   arena.allocate(4096);
