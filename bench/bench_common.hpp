@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -284,7 +285,11 @@ class Gate {
 // --jobs N > 1, again on N workers: every scenario's digest and event
 // count must agree between the two (the SweepRunner determinism
 // contract). The speedup is timed at min(N, cores) workers, since workers
-// beyond the cores only timeslice and their speedup measures nothing.
+// beyond the cores only timeslice and their speedup measures nothing. The
+// serial pass runs on a fresh thread, as each parallel worker does, so both
+// passes pay the first touch of a thread's content slabs and FrameArena
+// once per thread: on the calling thread it would reuse what earlier work
+// left there.
 
 struct GridRun {
   exp::SweepReport serial;  // tables and rows read this run's outcomes
@@ -311,7 +316,15 @@ inline GridRun run_grid(const std::vector<exp::SweepJob>& jobs, int workers, Gat
   g.requested_jobs = std::max(1, workers);
   g.effective_jobs = std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1,
                                 g.requested_jobs);
-  g.serial = exp::run_sweep(jobs, 1);
+  std::exception_ptr serial_failed;
+  std::thread([&] {
+    try {
+      g.serial = exp::run_sweep(jobs, 1);
+    } catch (...) {
+      serial_failed = std::current_exception();
+    }
+  }).join();
+  if (serial_failed) std::rethrow_exception(serial_failed);
   g.parallel_seconds = g.timed_seconds = g.serial.seconds;
   if (g.requested_jobs > 1) {
     const auto parallel = exp::run_sweep(jobs, g.requested_jobs);

@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks of the simulator substrate itself:
 // event-queue throughput, coroutine spawn cost, resource contention,
-// stripe mapping, RNG, and pattern fill and verify. These guard the
-// simulator's own performance — the paper benches run millions of events
-// per sweep.
+// stripe mapping, RNG, pattern fill and verify, and content-store writes
+// and reads. These guard the simulator's own performance — the paper
+// benches run millions of events per sweep.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "pfs/stripe.hpp"
@@ -12,6 +14,7 @@
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
+#include "ufs/block_store.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -119,6 +122,60 @@ void BM_PatternVerify(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(buf.size()));
 }
 BENCHMARK(BM_PatternVerify)->Arg(64)->Arg(1024);
+
+// The content store in the populate's shape: one pass over a 128 MiB image
+// of 64 KiB chunks, in 64 KiB pieces, from or into a 1 MiB pattern buffer.
+constexpr std::size_t kImageBytes = std::size_t{128} << 20;
+constexpr std::size_t kPieceBytes = 64 * 1024;
+
+std::vector<std::byte> pattern_buffer() {
+  std::vector<std::byte> buf(std::size_t{1} << 20);
+  ppfs::workload::fill_pattern(7, 0, buf);
+  return buf;
+}
+
+void write_image(ppfs::ufs::ContentStore& store, std::span<const std::byte> src) {
+  for (std::size_t off = 0; off < kImageBytes; off += kPieceBytes) {
+    store.write(off, src.subspan(off % src.size(), kPieceBytes));
+  }
+}
+
+void BM_ContentStoreWrite(benchmark::State& state) {
+  const auto src = pattern_buffer();
+  {
+    // One untimed pass faults the image in. Its slabs then wait on this
+    // thread's free list, so each timed pass writes a fresh store into
+    // touched memory, as every driver call after a thread's first does.
+    ppfs::ufs::ContentArena arena;
+    ppfs::ufs::ContentStore store(arena, kPieceBytes);
+    write_image(store, src);
+  }
+  for (auto _ : state) {
+    ppfs::ufs::ContentArena arena;
+    ppfs::ufs::ContentStore store(arena, kPieceBytes);
+    write_image(store, src);
+    benchmark::DoNotOptimize(&store);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(kImageBytes));
+}
+BENCHMARK(BM_ContentStoreWrite);
+
+void BM_ContentStoreRead(benchmark::State& state) {
+  auto buf = pattern_buffer();
+  ppfs::ufs::ContentArena arena;
+  ppfs::ufs::ContentStore store(arena, kPieceBytes);
+  write_image(store, buf);
+  for (auto _ : state) {
+    for (std::size_t off = 0; off < kImageBytes; off += kPieceBytes) {
+      store.read(off, std::span(buf).subspan(off % buf.size(), kPieceBytes));
+    }
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(kImageBytes));
+}
+BENCHMARK(BM_ContentStoreRead);
 
 }  // namespace
 

@@ -721,10 +721,23 @@ void PfsClient::wb_insert(FileId file, FileOffset off, std::span<const std::byte
       break;
     }
   }
-  dirty.emplace(off, std::vector<std::byte>(in.begin(), in.end()));
+  std::vector<std::byte> bytes;
+  if (!wb_spare_.empty()) {
+    bytes = std::move(wb_spare_.back());
+    wb_spare_.pop_back();
+    wb_spare_bytes_ -= bytes.capacity();
+  }
+  bytes.assign(in.begin(), in.end());
+  dirty.emplace(off, std::move(bytes));
   token_stats_.dirty_bytes += in.size();
   token_stats_.peak_dirty_bytes =
       std::max(token_stats_.peak_dirty_bytes, token_stats_.dirty_bytes);
+}
+
+void PfsClient::wb_recycle(std::vector<std::byte> bytes) {
+  if (wb_spare_bytes_ + bytes.capacity() > fs_.params().write_back_bytes) return;
+  wb_spare_bytes_ += bytes.capacity();
+  wb_spare_.push_back(std::move(bytes));
 }
 
 ByteCount PfsClient::wb_dirty_bytes_in(FileId file, FileOffset begin, FileOffset end) const {
@@ -834,6 +847,7 @@ sim::Task<void> PfsClient::flush_range(FileId file, FileOffset begin, FileOffset
     token_stats_.flushed_bytes += ce - cb;
     co_await transfer(meta, cb, data.size(), UserBuffer::writing(data),
                       /*fastpath=*/true, /*charge_syscall=*/false);
+    wb_recycle(std::move(data));
   }
 }
 

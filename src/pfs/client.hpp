@@ -320,6 +320,9 @@ class PfsClient : public TokenRevokeHandler {
   /// write-back budget again.
   sim::Task<void> wb_enforce_capacity();
   void wb_insert(FileId file, FileOffset off, std::span<const std::byte> in);
+  /// Keep a flushed extent's vector for wb_insert to fill again, unless
+  /// the spares would then hold more than the write-back budget.
+  void wb_recycle(std::vector<std::byte> bytes);
   ByteCount wb_dirty_bytes_in(FileId file, FileOffset begin, FileOffset end) const;
   bool wb_covers(FileId file, FileOffset off, ByteCount len) const;
   /// Copy dirty bytes overlapping [off, off+out.size()) into `out`;
@@ -344,6 +347,12 @@ class PfsClient : public TokenRevokeHandler {
   TokenCacheStats token_stats_;
   std::map<FileId, std::vector<HeldRange>> held_tokens_;
   std::map<FileId, WriteBack> wb_;
+  // Flushed extents' vectors, refilled by wb_insert before it allocates:
+  // a checkpoint's every write would otherwise take a fresh heap block,
+  // which glibc may trim and fault in again per round. Their capacities
+  // sum to wb_spare_bytes_, at most the write-back budget.
+  std::vector<std::vector<std::byte>> wb_spare_;
+  ByteCount wb_spare_bytes_ = 0;
   int token_client_id_ = -1;  // registered with the manager when tokens are on
   sim::Rng rpc_rng_;  // deterministic per-rank backoff-jitter stream
 };

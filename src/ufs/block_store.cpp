@@ -6,6 +6,10 @@
 #include <cstring>
 #include <new>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 // Its poison macros compile to nothing without ASan.
 #include <sanitizer/asan_interface.h>
 
@@ -97,6 +101,55 @@ void release_slab(std::byte* base, std::size_t bytes) noexcept {
   }
 }
 
+/// Copy `n` bytes from `src` to chunk memory at `dst`. Every whole 64-byte
+/// line of the destination is written with streaming stores, which skip
+/// the read-for-ownership an ordinary store pays on a cold line: the image
+/// is far larger than the caches and is not read again soon. The bytes
+/// before the first line boundary and after the last go by memcpy. Without
+/// SSE2 everything goes by memcpy, and so does a copy into poisoned memory
+/// under ASan, which does not see streaming stores, so the stray write is
+/// reported.
+void stream_copy(std::byte* dst, const std::byte* src, std::size_t n) noexcept {
+#if defined(__SSE2__)
+#if defined(__SANITIZE_ADDRESS__)
+  if (__asan_region_is_poisoned(dst, n) != nullptr) {
+    std::memcpy(dst, src, n);
+    return;
+  }
+#endif
+  constexpr std::size_t kLine = 64;
+  const auto to_line = static_cast<std::size_t>(-reinterpret_cast<std::uintptr_t>(dst) % kLine);
+  const std::size_t head = std::min(n, to_line);
+  const std::size_t lines = (n - head) / kLine;
+  std::memcpy(dst, src, head);
+  dst += head;
+  src += head;
+  for (std::size_t i = 0; i < lines; ++i, dst += kLine, src += kLine) {
+    const auto* s = reinterpret_cast<const __m128i*>(src);
+    auto* d = reinterpret_cast<__m128i*>(dst);
+    const __m128i a = _mm_loadu_si128(s), b = _mm_loadu_si128(s + 1),
+                  c = _mm_loadu_si128(s + 2), e = _mm_loadu_si128(s + 3);
+    _mm_stream_si128(d, a);
+    _mm_stream_si128(d + 1, b);
+    _mm_stream_si128(d + 2, c);
+    _mm_stream_si128(d + 3, e);
+  }
+  std::memcpy(dst, src, n - head - lines * kLine);
+  // Streaming stores are weakly ordered: fence them before anything later.
+  if (lines != 0) _mm_sfence();
+#else
+  std::memcpy(dst, src, n);
+#endif
+}
+
+/// Copy `src`'s runs, in position order, to `dst` by stream_copy.
+void stream_to(InBytes src, std::byte* dst) noexcept {
+  src.for_each_run([&dst](const std::byte* p, ByteCount n) {
+    stream_copy(dst, p, static_cast<std::size_t>(n));
+    dst += n;
+  });
+}
+
 /// True when every byte of `s` is zero. Pattern data pays one compare:
 /// its first word is tested alone. Zeros are then OR-ed 64 bytes at a
 /// time, a loop the compiler vectorises, with an exit after each block.
@@ -173,7 +226,7 @@ void ContentStore::write(FileOffset offset, InBytes data) {
         std::min<std::size_t>(data.size() - done, static_cast<std::size_t>(chunk_ - in_chunk));
     const InBytes src = data.subspan(done, n);
     if (std::byte** stored = chunks_.find(chunk_idx)) {
-      src.copy_to(*stored + in_chunk);
+      stream_to(src, *stored + in_chunk);
     } else if (!all_zero(src)) {
       // A fresh chunk may lie in a slab a dead mount used, so the bytes
       // this first write leaves uncovered are zeroed. Every write the full
@@ -181,7 +234,7 @@ void ContentStore::write(FileOffset offset, InBytes data) {
       // both ranges are empty.
       std::byte* chunk = arena_.allocate(static_cast<std::size_t>(chunk_));
       std::memset(chunk, 0, in_chunk);
-      src.copy_to(chunk + in_chunk);
+      stream_to(src, chunk + in_chunk);
       std::memset(chunk + in_chunk + n, 0, chunk_ - in_chunk - n);
       chunks_.get_or_insert(chunk_idx) = chunk;
     }

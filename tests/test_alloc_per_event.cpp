@@ -39,6 +39,7 @@
 #include "ufs/block_store.hpp"
 #include "workload/experiment.hpp"
 #include "workload/open_arrival.hpp"
+#include "workload/write_workload.hpp"
 
 namespace {
 
@@ -300,6 +301,35 @@ TEST(AllocPerEvent, ServerBatchedCoalescedRead) {
   // 2,954 over 5,118 events (0.58 per event); the row without batching
   // reads 50.
   EXPECT_EQ(row.news, 2954u) << row.per_event() << " allocations per event over " << row.events;
+}
+
+TEST(AllocPerEvent, CheckpointWriteOnThePerfbenchShape) {
+  // perfbench's checkpoint_write: 8 writers of 256 KiB records on the 8x8
+  // machine with write tokens, fsync after each round and a verified
+  // read-back; 4 vs 16 rounds.
+  workload::WriteWorkloadSpec w;
+  w.kind = workload::WriteWorkloadKind::kCheckpoint;
+  w.writers = 8;
+  w.request_size = 256 * 1024;
+  w.conflicting = false;
+  w.verify = true;
+  w.fsync_each_round = true;
+  w.compute_delay = 0.002;
+  const Row row = measure([&](bool long_run) {
+    workload::WriteWorkloadSpec s = w;
+    s.rounds = long_run ? 16 : 4;
+    const auto r = workload::run_write_workload(s);
+    EXPECT_EQ(r.writes, s.rounds * 8);
+    EXPECT_EQ(r.verify_failures, 0u);
+    return r.events_dispatched;
+  });
+  ASSERT_GT(row.events, 1000u);
+  EXPECT_LE(row.per_event(), 0.05) << row.news << " allocations over " << row.events;
+  // 96 more writes add 260 small allocations, none larger than 4 KiB (the
+  // dirty map's nodes among them): a flushed record's vector waits on its
+  // client's spare list for the next round's write. When each write took a
+  // fresh 256 KiB vector, which its flush freed, this read 356.
+  EXPECT_EQ(row.news, 260u) << row.per_event() << " allocations per event";
 }
 
 TEST(AllocPerEvent, FreshContentChunksAllocateOnlyForIndexGrowth) {

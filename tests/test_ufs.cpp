@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -151,6 +152,93 @@ TEST(ContentStore, OverlappingWritesLastWins) {
   EXPECT_TRUE(check_pattern(std::span(back).subspan(0, 512), 1, 0));
   EXPECT_TRUE(check_pattern(std::span(back).subspan(512, 1024), 2, 512));
   EXPECT_TRUE(check_pattern(std::span(back).subspan(1536, 512), 1, 1536));
+}
+
+// A write streams every whole 64-byte line of its destination and copies
+// the bytes before the first line and after the last. Each case below
+// writes into chunks of its own and reads back the write plus a line on
+// each side at once, so a byte written outside the write shows even where a
+// later write would have covered it. A stored chunk holds kOld before the
+// write; a fresh chunk reads zero outside it.
+constexpr ByteCount kLine = 64;
+constexpr std::byte kOld{0x11};
+
+// Never kOld or zero, and different at neighbouring positions, so a
+// missing, shifted or extra byte reads wrong.
+std::vector<std::byte> streamed_bytes(std::size_t n) {
+  std::vector<std::byte> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::byte>(0x80 | (i % 127));
+  return v;
+}
+
+// Writes `data` at `at` (with at % chunk >= kLine) into chunks that hold
+// kOld when `stored`, then checks [at - kLine, at + size + kLine).
+void check_streamed_write(ContentStore& cs, bool stored, FileOffset at, InBytes data,
+                          std::span<const std::byte> want) {
+  const FileOffset first = at / cs.chunk_bytes() * cs.chunk_bytes();
+  const FileOffset last = (at + data.size() + kLine - 1) / cs.chunk_bytes() * cs.chunk_bytes();
+  if (stored) {
+    cs.write(first, std::vector<std::byte>(last + cs.chunk_bytes() - first, kOld));
+  }
+  cs.write(at, data);
+  std::vector<std::byte> back(data.size() + 2 * kLine, std::byte{0x5a});
+  cs.read(at - kLine, back);
+  const std::byte old = stored ? kOld : std::byte{0};
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    const bool inside = i >= kLine && i < kLine + data.size();
+    ASSERT_EQ(back[i], inside ? want[i - kLine] : old)
+        << "byte " << static_cast<std::ptrdiff_t>(i) - static_cast<std::ptrdiff_t>(kLine)
+        << " of a " << data.size() << "-byte write";
+  }
+}
+
+TEST(ContentStore, StreamedWriteLandsExactlyWhereAskedAtEveryLineOffset) {
+  // Every destination offset 0-63 into a line, each length below, into a
+  // stored chunk and a fresh one: 1,920 writes, one chunk each. The source
+  // runs on past the write, so copying a byte too many shows too.
+  constexpr ByteCount kChunk = 4096;
+  const ByteCount lengths[] = {0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1000};
+  const auto src = streamed_bytes(2048);
+  for (const bool stored : {true, false}) {
+    ContentArena arena;
+    ContentStore cs(arena, kChunk);
+    FileOffset chunk_at = 0;
+    for (ByteCount shift = 0; shift < kLine; ++shift) {
+      for (const ByteCount len : lengths) {
+        SCOPED_TRACE(testing::Message() << (stored ? "stored" : "fresh") << " chunk, offset "
+                                        << shift << " into a line, length " << len);
+        const auto data = std::span(src).first(len);
+        ASSERT_NO_FATAL_FAILURE(
+            check_streamed_write(cs, stored, chunk_at + 2 * kLine + shift, data, data));
+        chunk_at += kChunk;
+      }
+    }
+  }
+}
+
+TEST(ContentStore, StreamedWriteFromShortStridedRunsLandsExactlyWhereAsked) {
+  // A source view whose runs are 40 bytes (shorter than a line) or 3000,
+  // neither a multiple of 16, with a skewed first run and a cut last one:
+  // each run starts at a new destination alignment. Every offset 0-63 into
+  // a line, into stored chunks and fresh ones.
+  constexpr ByteCount kChunk = 16 * 1024;
+  for (const ByteCount run : {ByteCount{40}, ByteCount{3000}}) {
+    const ByteCount stride = run + 24, skew = 7, size = 5 * run - 11;
+    const auto buf = streamed_bytes(static_cast<std::size_t>(5 * stride));
+    const InBytes view(buf.data(), size, skew, run, stride);
+    std::vector<std::byte> want(size);
+    view.copy_to(want.data());
+    for (const bool stored : {true, false}) {
+      ContentArena arena;
+      ContentStore cs(arena, kChunk);
+      for (ByteCount shift = 0; shift < kLine; ++shift) {
+        SCOPED_TRACE(testing::Message() << run << "-byte runs, " << (stored ? "stored" : "fresh")
+                                        << " chunk, offset " << shift << " into a line");
+        ASSERT_NO_FATAL_FAILURE(
+            check_streamed_write(cs, stored, shift * kChunk + kLine + shift, view, want));
+      }
+    }
+  }
 }
 
 TEST(ContentStore, ZeroWriteIntoAnAbsentChunkStoresNothing) {
@@ -341,6 +429,18 @@ TEST(ContentArena, PooledSlabIsPoisonedUntilHandedOut) {
   EXPECT_FALSE(__asan_address_is_poisoned(again + sizeof(void*)));
   EXPECT_FALSE(__asan_address_is_poisoned(again + 4095));
   EXPECT_TRUE(__asan_address_is_poisoned(again + 4096));
+}
+
+TEST(ContentStoreDeathTest, WriteIntoAPooledSlabIsReported) {
+  // ASan does not check streaming stores, so a write into poisoned chunk
+  // memory must go by memcpy, whose check reports it. The whole-chunk
+  // write below is all lines: no head or tail would report it otherwise.
+  auto arena = std::make_unique<ContentArena>();
+  ContentStore cs(*arena, 4096);
+  cs.write(0, make_pattern(1, 0, 4096));
+  arena.reset();  // the chunk's slab goes onto the thread's list, poisoned
+  const auto again = make_pattern(2, 0, 4096);
+  EXPECT_DEATH(cs.write(0, again), "use-after-poison");
 }
 
 TEST(ContentArena, PoisonsTheBytesPastTheLastChunk) {
