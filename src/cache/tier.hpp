@@ -135,9 +135,6 @@ class CacheTier {
   const std::map<std::uint32_t, DurableEntry>& durable_entries() const noexcept {
     return durable_;
   }
-  const std::map<std::uint32_t, CacheFileInfo>& resident_info() const noexcept {
-    return info_;
-  }
   std::uint64_t resident_blocks() const noexcept { return resident_blocks_; }
   /// Drop a file's entry everywhere (journal + volatile) — fsck quarantine.
   void fsck_drop(std::uint32_t ino);

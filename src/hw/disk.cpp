@@ -39,18 +39,6 @@ double Disk::rotational_wait(std::uint64_t lba, SimTime at) const {
   return wait_frac * period;
 }
 
-SimTime Disk::estimate_service_time(std::uint64_t lba, ByteCount bytes) const {
-  SimTime t = params_.controller_overhead_s;
-  if (lba != next_sequential_lba_) {
-    const std::uint64_t cyl = lba_to_cylinder(lba);
-    const std::uint64_t dist = cyl > head_cylinder_ ? cyl - head_cylinder_ : head_cylinder_ - cyl;
-    t += params_.seek_time_s(dist);
-    t += rotational_wait(lba, sim_.now() + t);
-  }
-  t += static_cast<double>(bytes) / params_.media_rate_bytes_per_s();
-  return t;
-}
-
 sim::Task<void> Disk::transfer(std::uint64_t lba, ByteCount bytes, bool write) {
   const std::uint64_t sectors =
       (bytes + params_.sector_bytes - 1) / params_.sector_bytes;

@@ -81,10 +81,6 @@ class Disk {
   const DiskParams& params() const noexcept { return params_; }
   const std::string& name() const noexcept { return name_; }
 
-  /// Pure timing query: the service time such a request would take in
-  /// isolation given the current head/platter state (no queueing).
-  SimTime estimate_service_time(std::uint64_t lba, ByteCount bytes) const;
-
   /// Fault injection: multiply the service time of every request whose
   /// start falls in [from, until) by `factor` (>1 = degraded drive —
   /// thermal recalibration, vibrating rack, failing head). Windows may

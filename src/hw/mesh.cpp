@@ -156,48 +156,25 @@ sim::Task<void> MeshNetwork::send(NodeId src, NodeId dst, ByteCount bytes) {
   }
   // ppfs::endhot
 
-  if (cfg_.mtu == 0 || bytes <= cfg_.mtu) {
-    // Legacy circuit: hold the whole route for the whole message.
-    double transfer =
-        static_cast<double>(path.size()) * cfg_.hop_latency +
-        static_cast<double>(bytes) / cfg_.link_bandwidth;
-
-    // Circuit setup: grab the path's links in canonical order
-    // (deadlock-free) and hold them for the duration of the transfer.
-    sim::InlineVec<sim::ResourceGuard, kInlinePathSlots> held;
-    for (int id : ordered) held.push_back(co_await links_[static_cast<std::size_t>(id)].acquire());
-
-    // Degradation is evaluated at wire time (after circuit setup), so a
-    // window that opens while a message waits for links still applies.
-    const double degrade = degrade_factor_now(src, dst, path);
-    if (degrade != 1.0) {
-      transfer *= degrade;
-      ++degraded_messages_;
-    }
-
-    trace_wire_edges(sim_, ordered, trace::TraceKind::kSpanBegin, bytes, dst);
-    co_await sim_.delay(transfer);
-    trace_wire_edges(sim_, ordered, trace::TraceKind::kSpanEnd, bytes, dst);
-    for (int id : ordered) link_busy_[id] += transfer;
-
-    ++messages_;
-    bytes_ += bytes;
-    co_return;
+  // The message moves as nseg segments: one (the circuit, which holds the
+  // whole route for the whole message) when the MTU is 0 or the message
+  // fits in it, zero-byte messages included; ceil(bytes / mtu) otherwise.
+  // Each segment takes the full route in canonical (sorted) order, which
+  // is deadlock-free, but the route is yielded between segments when, and
+  // only when, another message is queued on one of its links. So
+  // uncontended traffic pays a single acquisition (O(path + segments)
+  // work) while contended routes interleave at MTU granularity.
+  const bool one = cfg_.mtu == 0 || bytes <= cfg_.mtu;
+  const std::uint64_t nseg = one ? 1 : (bytes + cfg_.mtu - 1) / cfg_.mtu;
+  const ByteCount unit = one ? bytes : cfg_.mtu;
+  if (nseg > 1) {
+    ++segmented_messages_;
+    segments_sent_ += nseg;
   }
 
-  // Pipelined mode: the message moves as ceil(bytes / mtu) segments. Each
-  // segment still takes the full route in canonical order (deadlock-free),
-  // but the route is yielded between segments when — and only when —
-  // another message is queued on one of its links, so uncontended traffic
-  // pays a single acquisition (O(path + segments) work) while contended
-  // routes interleave at MTU granularity.
-  const std::uint64_t nseg = (bytes + cfg_.mtu - 1) / cfg_.mtu;
-  ++segmented_messages_;
-
   sim::InlineVec<sim::ResourceGuard, kInlinePathSlots> held;
-  bool degraded_counted = false;
   for (std::uint64_t s = 0; s < nseg; ++s) {
-    const ByteCount seg = std::min<ByteCount>(cfg_.mtu, bytes - s * cfg_.mtu);
+    const ByteCount seg = std::min<ByteCount>(unit, bytes - s * unit);
     if (held.empty()) {
       for (int id : ordered) held.push_back(co_await links_[static_cast<std::size_t>(id)].acquire());
     }
@@ -207,22 +184,16 @@ sim::Task<void> MeshNetwork::send(NodeId src, NodeId dst, ByteCount bytes) {
     double transfer = static_cast<double>(seg) / cfg_.link_bandwidth;
     if (s == 0) transfer += static_cast<double>(path.size()) * cfg_.hop_latency;
 
-    // Per-segment degradation: a window opening mid-message slows exactly
-    // the segments wired inside it.
-    const double degrade = degrade_factor_now(src, dst, path);
-    if (degrade != 1.0) {
-      transfer *= degrade;
-      if (!degraded_counted) {
-        ++degraded_messages_;
-        degraded_counted = true;
-      }
-    }
+    // Degradation is evaluated at wire time, after the links are held, so
+    // a window that opens while a message waits for them still applies,
+    // and one opening mid-message slows exactly the segments wired inside
+    // it.
+    transfer *= degrade_factor_now(src, dst, path);
 
     trace_wire_edges(sim_, ordered, trace::TraceKind::kSpanBegin, seg, dst);
     co_await sim_.delay(transfer);
     trace_wire_edges(sim_, ordered, trace::TraceKind::kSpanEnd, seg, dst);
     for (int id : ordered) link_busy_[id] += transfer;
-    ++segments_sent_;
 
     if (s + 1 < nseg) {
       bool contended = false;

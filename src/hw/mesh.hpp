@@ -1,28 +1,29 @@
 // The Paragon 2-D mesh interconnect.
 //
 // Nodes sit on a width x height grid; messages follow dimension-ordered
-// (X then Y) wormhole routing. The legacy model (mtu == 0) treats a wormhole
-// transfer as a circuit: the message holds every directed link on its path
-// for the duration of the transfer, which captures the head-of-line blocking
-// that makes concurrent full-file reads contend. Links along the path are
-// acquired in a canonical (sorted) order so concurrent circuit setups cannot
-// deadlock.
+// (X then Y) wormhole routing. Every message goes through one loop over its
+// segments. A segment holds every directed link on the message's path for
+// its wire time, which captures the head-of-line blocking that makes
+// concurrent full-file reads contend. Links along the path are acquired in
+// a canonical (sorted) order so concurrent setups cannot deadlock.
 //
-// With mtu > 0 the network pipelines: messages larger than the MTU are cut
-// into MTU-sized segments that take and yield the route segment-by-segment,
-// so a long transfer shares its links with competing traffic at MTU
-// granularity instead of circuit-blocking the whole route. Segment wire
-// times pipeline the per-hop router latency away: the head segment pays
+// With mtu == 0 (the legacy model), or a message that fits in the MTU, the
+// message is one segment: a circuit that holds the whole route for the
+// whole transfer. With mtu > 0, larger messages are cut into MTU-sized
+// segments that take and yield the route segment-by-segment, so a long
+// transfer shares its links with competing traffic at MTU granularity
+// instead of circuit-blocking the whole route. Segment wire times pipeline
+// the per-hop router latency away: the head segment pays
 // hops x hop_latency + seg/bandwidth, every later segment only
 // seg/bandwidth (its flits stream behind the head). An uncontended message
-// keeps the circuit between segments (one acquisition, one event per
+// keeps the route between segments (one acquisition, one event per
 // segment: O(path + segments) work); only when another message queues on a
 // path link does the sender release and re-acquire, which is exactly the
 // sharing the model exists to expose.
 //
 // Per-message time = software injection latency (charged before links are
-// held) + hops x per-hop router latency + bytes / link bandwidth; identical
-// totals in both modes when uncontended.
+// held) + hops x per-hop router latency + bytes / link bandwidth; the same
+// total at any MTU when uncontended.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +53,12 @@ struct MeshConfig {
   double hop_latency = 40.0e-9;
   /// OS message-passing software overhead per message (send+receive path).
   double software_latency = 45.0e-6;
-  /// Maximum transfer unit for pipelined transfers, in bytes. 0 (the
-  /// default) keeps the legacy circuit model: one wire event holds the
-  /// whole route for the full message duration, and existing event digests
-  /// are bit-identical. When > 0, messages above the MTU move as MTU-sized
-  /// segments that yield the route to queued competitors between segments.
+  /// Maximum transfer unit for pipelined transfers, in bytes. Every
+  /// message goes through one segment loop; a message is one segment (the
+  /// legacy circuit: one wire event holds the whole route for the full
+  /// message duration) when the MTU is 0, the default, or the message fits
+  /// in it. Messages above a nonzero MTU move as MTU-sized segments that
+  /// yield the route to queued competitors between segments.
   ByteCount mtu = 0;
 
   int node_count() const { return width * height; }
@@ -87,12 +89,11 @@ class MeshNetwork {
   /// effective partition); overlapping windows compound. Delivery always
   /// eventually happens — wormhole circuits do not drop data.
   void inject_node_slowdown(NodeId node, double factor, SimTime from, SimTime until);
-  std::uint64_t degraded_messages() const noexcept { return degraded_messages_; }
 
   std::uint64_t messages() const noexcept { return messages_; }
   ByteCount bytes_moved() const noexcept { return bytes_; }
-  /// Messages that moved as >1 segment, and total segments wired (counts
-  /// single-segment messages too once the pipelined path is taken).
+  /// Messages that moved as more than one segment, and the segments they
+  /// moved as. A one-segment message counts in neither.
   std::uint64_t segmented_messages() const noexcept { return segmented_messages_; }
   std::uint64_t segments_sent() const noexcept { return segments_sent_; }
   /// Total time the given directed link spent occupied.
@@ -160,7 +161,6 @@ class MeshNetwork {
   sim::ShardArena<sim::Resource> links_;
   std::vector<SimTime> link_busy_;
   std::vector<DegradedWindow> degraded_windows_;
-  std::uint64_t degraded_messages_ = 0;
 
   // Route table: link ids for every (src, dst) pair, in path order
   // (path_pool_) and canonical acquisition order (sorted_pool_), both

@@ -62,7 +62,6 @@ class NodeCpu {
   const CpuParams& params() const noexcept { return params_; }
   const std::string& name() const noexcept { return name_; }
   SimTime busy_time() const noexcept { return busy_; }
-  std::size_t core_count() const noexcept { return cores_.capacity(); }
 
  private:
   sim::Simulation& sim_;

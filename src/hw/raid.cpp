@@ -20,10 +20,10 @@ RaidParams RaidParams::scsi16() {
 RaidArray::RaidArray(sim::Simulation& s, std::string name, RaidParams params)
     : sim_(s), name_(std::move(name)), params_(params), bus_(s, 1) {
   if (params_.data_disks == 0) throw std::invalid_argument("RaidArray: need >= 1 data disk");
-  const std::uint32_t total = params_.data_disks + (params_.dedicated_parity ? 1 : 0);
+  const std::uint32_t total = params_.data_disks + 1;
   members_.reserve(total);
   for (std::uint32_t i = 0; i < total; ++i) {
-    const bool is_parity = params_.dedicated_parity && i == total - 1;
+    const bool is_parity = i == total - 1;
     members_.push_back(std::make_unique<Disk>(
         s, name_ + (is_parity ? "/parity" : "/d" + std::to_string(i)), params_.disk));
   }
@@ -70,7 +70,7 @@ sim::Task<void> RaidArray::transfer(std::uint64_t lba, ByteCount bytes, bool wri
   }
   // RAID-3 survives exactly one lost data member, and only with a live
   // parity drive to reconstruct from.
-  if (dead_data > 1 || (dead_data == 1 && (!params_.dedicated_parity || parity_dead))) {
+  if (dead_data > 1 || (dead_data == 1 && parity_dead)) {
     throw fault::FaultError(fault::ErrorCause::kDiskFailed,
                             name_ + ": member set unreadable (lost " +
                                 std::to_string(dead_data + (parity_dead ? 1 : 0)) +
@@ -99,7 +99,6 @@ sim::Task<void> RaidArray::transfer(std::uint64_t lba, ByteCount bytes, bool wri
     // XOR of the surviving data members + parity regenerates the lost share.
     co_await sim_.delay(static_cast<double>(bytes) / params_.xor_bandwidth);
     ++reconstructed_reads_;
-    reconstructed_bytes_ += bytes;
     if (auto* a = sim_.auditor()) {
       a->on_fault_observed();
       a->on_fault_reconstructed();

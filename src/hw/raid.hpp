@@ -29,7 +29,6 @@ namespace ppfs::hw {
 struct RaidParams {
   DiskParams disk = DiskParams::paragon_era();
   std::uint32_t data_disks = 4;
-  bool dedicated_parity = true;
   /// SCSI bus bandwidth cap (bytes/s). SCSI-8 era card: ~4 MB/s sustained.
   double bus_bandwidth = 4.0e6;
   /// Per-request bus arbitration/command overhead.
@@ -68,29 +67,25 @@ class RaidArray {
   /// Degraded mode: mark a member (data or parity) as lost. Reads with one
   /// lost data member are reconstructed from the survivors plus parity —
   /// charging the extra parity-member read and XOR time — and stay
-  /// byte-correct. A second loss, or a data loss on an array without a
-  /// parity drive, makes transfers fail with FaultError(kDiskFailed).
+  /// byte-correct. A second loss, or a data loss with the parity drive
+  /// lost too, makes transfers fail with FaultError(kDiskFailed).
   void fail_member(std::size_t i);
   void restore_member(std::size_t i);
-  bool member_failed(std::size_t i) const { return failed_.at(i); }
   bool degraded() const noexcept { return failed_count_ > 0; }
 
   std::uint64_t ops() const noexcept { return ops_; }
   ByteCount bytes_transferred() const noexcept { return bytes_; }
   std::uint64_t reconstructed_reads() const noexcept { return reconstructed_reads_; }
-  ByteCount reconstructed_bytes() const noexcept { return reconstructed_bytes_; }
   std::uint64_t degraded_writes() const noexcept { return degraded_writes_; }
 
  private:
   sim::Task<void> hold_bus(ByteCount bytes);
-  std::size_t parity_index() const {
-    return params_.dedicated_parity ? members_.size() - 1 : members_.size();
-  }
+  std::size_t parity_index() const { return members_.size() - 1; }
 
   sim::Simulation& sim_;
   std::string name_;
   RaidParams params_;
-  std::vector<std::unique_ptr<Disk>> members_;  // data disks + optional parity (last)
+  std::vector<std::unique_ptr<Disk>> members_;  // data disks, then the parity disk
   sim::Resource bus_;
   std::vector<bool> failed_;
   std::size_t failed_count_ = 0;
@@ -98,7 +93,6 @@ class RaidArray {
   std::uint64_t ops_ = 0;
   ByteCount bytes_ = 0;
   std::uint64_t reconstructed_reads_ = 0;
-  ByteCount reconstructed_bytes_ = 0;
   std::uint64_t degraded_writes_ = 0;
 };
 

@@ -21,13 +21,11 @@ sim::Task<FileOffset> PointerService::fetch_and_add(FileId file, ByteCount len) 
   State& s = state(file);
   const FileOffset off = s.pointer;
   s.pointer += len;
-  ++ops_;
   co_return off;
 }
 
 sim::Task<sim::ResourceGuard> PointerService::acquire_file_lock(FileId file) {
   co_await machine_.cpu(home_).compute(service_time_);
-  ++ops_;
   auto guard = co_await state(file).lock->acquire();
   co_return std::move(guard);
 }

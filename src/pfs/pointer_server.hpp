@@ -49,8 +49,6 @@ class PointerService {
   FileOffset pointer(FileId file) const;
   void set_pointer(FileId file, FileOffset off);
 
-  std::uint64_t operations() const noexcept { return ops_; }
-
  private:
   struct State {
     FileOffset pointer = 0;
@@ -62,7 +60,6 @@ class PointerService {
   hw::NodeId home_;
   double service_time_;
   std::map<FileId, State> files_;
-  std::uint64_t ops_ = 0;
 };
 
 /// Gang coordination for the synchronized modes (M_SYNC, M_GLOBAL).

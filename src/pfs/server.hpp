@@ -98,8 +98,6 @@ class PfsServer {
   sim::Task<void> serve_batch(std::span<ExtentOp> ops, bool is_write, bool fastpath);
 
   ufs::Ufs& ufs() noexcept { return ufs_; }
-  int io_index() const noexcept { return io_index_; }
-  hw::NodeId mesh_node() const noexcept { return mesh_node_; }
 
   std::uint64_t requests_served() const noexcept { return requests_; }
   /// Batch-queue telemetry: dispatcher sweeps run, extents they carried.
@@ -120,8 +118,6 @@ class PfsServer {
   /// warm blocks survive into the new epoch.
   void restore();
   bool down() const noexcept { return down_; }
-  /// True while a tier-journal recovery pass is replaying after restore().
-  bool recovering() const noexcept { return recovering_; }
   /// Set while the server is up; reset during an outage. Clients bound
   /// their recovery wait on this with wait_with_timeout.
   sim::Event& up_event() noexcept { return up_ev_; }

@@ -130,15 +130,11 @@ class PrefetchEngine final : public pfs::Prefetcher {
   const PrefetchConfig& config() const noexcept { return cfg_; }
   /// Buffers currently resident for an fd (0 if unknown fd).
   std::size_t resident_buffers(int fd) const;
-  /// True while fault activity has speculation paused.
-  bool fault_paused() const noexcept { return fault_paused_; }
   /// Readahead depth the next after_read on this fd will use (the fixed
   /// config depth unless the adaptive controller is on).
   std::size_t current_depth(int fd) const;
   /// The adaptive controller, or nullptr when adaptive depth is off.
   const AdaptiveController* controller() const noexcept { return controller_.get(); }
-  /// The predictor driving this engine (exposed for ensemble inspection).
-  const Predictor& predictor() const noexcept { return *predictor_; }
 
  private:
   /// Park a buffer whose ART may still be writing into it; it is freed

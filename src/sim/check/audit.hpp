@@ -152,7 +152,6 @@ class Auditor {
   /// Throw AuditError at the violation site (default) instead of only
   /// recording. Destructor-context checks always only record.
   void set_fail_fast(bool v) noexcept { fail_fast_ = v; }
-  bool fail_fast() const noexcept { return fail_fast_; }
 
   // --- kernel hooks (called by Simulation) ---
   /// frame == nullptr for plain callbacks.
@@ -196,7 +195,6 @@ class Auditor {
   void on_fault_retried_ok(std::uint64_t n = 1);
   void on_fault_reconstructed(std::uint64_t n = 1);
   void on_fault_terminal(std::uint64_t n = 1);
-  const FaultLedger& fault_ledger() const noexcept { return faults_; }
   /// Verify observed == retried-ok + reconstructed + terminal. Call when no
   /// requests are in flight (end of run / teardown).
   void check_fault_conservation(SimTime now, bool in_destructor = false);
@@ -254,7 +252,6 @@ class Auditor {
   // --- results ---
   const std::vector<ViolationRecord>& violations() const noexcept { return violations_; }
   std::size_t count(Violation kind) const noexcept;
-  void clear_violations() { violations_.clear(); }
 
  private:
   struct BufferLedger {

@@ -104,7 +104,6 @@ class Barrier {
     return Awaiter{*this};
   }
 
-  std::size_t parties() const noexcept { return parties_; }
   std::size_t arrived() const noexcept { return waiters_.size(); }
 
  private:

@@ -34,8 +34,6 @@ class StreamingQuantiles {
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
 
-  std::uint64_t bin_count(std::size_t i) const { return bins_.at(i); }
-
   void reset() { *this = StreamingQuantiles{}; }
 
  private:

@@ -62,8 +62,6 @@ class BufferCache {
 
   bool contains(std::uint64_t phys) const { return entries_.count(phys) != 0; }
   std::size_t resident_blocks() const noexcept { return entries_.size(); }
-  std::size_t capacity_blocks() const noexcept { return capacity_; }
-  ByteCount block_bytes() const noexcept { return block_bytes_; }
 
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }

@@ -41,10 +41,8 @@ class BlockAllocator {
   /// around once. Returns nullopt when the device is full.
   std::optional<std::uint64_t> allocate(std::uint64_t hint = 0);
   void free(std::uint64_t block);
-  bool is_allocated(std::uint64_t block) const { return used_.at(block); }
 
   std::uint64_t total_blocks() const noexcept { return used_.size(); }
-  std::uint64_t allocated_blocks() const noexcept { return allocated_; }
   std::uint64_t free_blocks() const noexcept { return used_.size() - allocated_; }
 
  private:
@@ -64,7 +62,6 @@ class InodeTable {
   const Inode& get(InodeNum ino) const;
   bool exists(InodeNum ino) const { return inodes_.count(ino) != 0; }
 
-  std::size_t file_count() const noexcept { return directory_.size(); }
   const std::map<std::string, InodeNum>& directory() const noexcept { return directory_; }
 
  private:

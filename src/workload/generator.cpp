@@ -226,16 +226,6 @@ std::span<const PatternKernel> pattern_kernels() {
 
 }  // namespace detail
 
-const char* pattern_name(AccessPattern p) {
-  switch (p) {
-    case AccessPattern::kInterleaved: return "interleaved";
-    case AccessPattern::kOwnRegion: return "own-region";
-    case AccessPattern::kStrided: return "strided";
-    case AccessPattern::kListIo: return "listio";
-  }
-  return "?";
-}
-
 FileOffset strided_offset(const WorkloadSpec& w, int rank, int nprocs, std::uint64_t k) {
   const auto step = static_cast<FileOffset>(nprocs) * w.stride;
   return (static_cast<FileOffset>(rank) + k * step) * w.request_size;

@@ -37,8 +37,6 @@ using sim::SimTime;
 /// one-ahead rule and exist to exercise the strided/list-I/O predictors.
 enum class AccessPattern { kInterleaved, kOwnRegion, kStrided, kListIo };
 
-const char* pattern_name(AccessPattern p);
-
 struct WorkloadSpec {
   std::string name = "workload";
   pfs::IoMode mode = pfs::IoMode::kRecord;

@@ -10,7 +10,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fault/error.hpp"
 #include "sim/check/audit.hpp"
+#include "sim/event.hpp"
 #include "sim/frame_arena.hpp"
 #include "sim/when_all.hpp"
 #include "workload/generator.hpp"
@@ -42,6 +44,83 @@ std::span<const std::byte> zero_region() {
     return static_cast<const std::byte*>(p);
   }();
   return {zeros, kPopulateChunk};
+}
+
+/// What one reader of a read phase tallies.
+struct ReadTally {
+  sim::SimTime start = 0;  // passed the start line
+  sim::SimTime end = 0;    // last read call returned
+  ByteCount bytes = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t verify_failures = 0;
+  std::uint64_t app_errors = 0;       // FaultErrors surfaced to the application
+  sim::StreamingQuantiles latencies;  // per read call, fixed footprint
+  bool finished = false;              // ran every op and closed its file
+};
+
+/// Where a read of `len` that moved `got` bytes began, from the rank's file
+/// pointer before and after the call.
+FileOffset read_offset(pfs::IoMode mode, int rank, FileOffset before, FileOffset after,
+                       ByteCount len, ByteCount got) {
+  switch (mode) {
+    case pfs::IoMode::kLog:
+    case pfs::IoMode::kSync:
+      // The claimed region is only known after the fact: the client's
+      // pointer lands at the claim's end.
+      return after - got;
+    case pfs::IoMode::kRecord:
+      return before + static_cast<FileOffset>(rank) * len;
+    default:
+      return before;
+  }
+}
+
+sim::Task<void> reader(pfs::PfsClient& client, const ReadPlan& plan, bool verify,
+                       sim::Barrier& start_line, ReadTally& out) {
+  sim::Simulation& sim = client.machine().simulation();
+  const int fd = co_await client.open(plan.file, plan.mode);
+  if (!plan.fastpath) client.set_fastpath(fd, false);
+  if (plan.start != 0) co_await client.seek(fd, plan.start);
+  co_await start_line.arrive_and_wait();
+  out.start = out.end = sim.now();
+
+  std::vector<std::byte> buf;
+  for (const TraceOp& op : plan.ops) {
+    if (op.kind == TraceOp::Kind::kSeek) {
+      co_await client.seek(fd, op.offset);
+      continue;
+    }
+    buf.resize(op.length);
+    const FileOffset before = client.tell(fd);
+    const sim::SimTime call_start = sim.now();
+    ByteCount got = 0;
+    bool failed = false;
+    try {
+      got = co_await client.read(fd, buf);
+    } catch (const fault::FaultError&) {
+      // A terminal fault (retry budget exhausted) surfaces to the
+      // application as a failed read; the run carries on with the next
+      // op, like a real program retrying at its own level would.
+      failed = true;
+    }
+    out.latencies.add(sim.now() - call_start);
+    out.bytes += got;
+    ++out.reads;
+    out.end = sim.now();
+    if (failed) {
+      ++out.app_errors;
+    } else if (verify && got > 0) {
+      const FileOffset off =
+          read_offset(plan.mode, client.rank(), before, client.tell(fd), op.length, got);
+      if (find_pattern_mismatch(plan.tag, off, std::span<const std::byte>(buf).first(got)) !=
+          kNoMismatch) {
+        ++out.verify_failures;
+      }
+    }
+    if (op.think > 0) co_await sim.delay(op.think);
+  }
+  client.close(fd);
+  out.finished = true;
 }
 
 }  // namespace
@@ -223,10 +302,23 @@ void Rig::collect(RunCounters& res, std::uint64_t app_errors) {
           : 0.0;
 }
 
-void Rig::collect_reads(ExperimentResult& res, const std::vector<ReadTally>& tallies) {
+void Rig::run_reads(const std::vector<ReadPlan>& plans, bool verify, ExperimentResult& res,
+                    const char* who) {
+  sim::Barrier start_line(sim_, plans.size());
+  std::vector<ReadTally> tallies(plans.size());
+  for (std::size_t r = 0; r < plans.size(); ++r) {
+    sim_.spawn(reader(client(static_cast<int>(r)), plans[r], verify, start_line, tallies[r]));
+  }
+  sim_.run();
+
   std::uint64_t app_errors = 0;
   sim::SimTime t0 = sim::kTimeInfinity, t1 = 0;
-  for (const ReadTally& t : tallies) {
+  for (std::size_t r = 0; r < plans.size(); ++r) {
+    const ReadTally& t = tallies[r];
+    if (!t.finished) {
+      throw std::runtime_error(std::string(who) + ": node " + std::to_string(r) +
+                               " did not finish its reads (deadlock?)");
+    }
     res.total_bytes += t.bytes;
     res.reads += t.reads;
     res.verify_failures += t.verify_failures;

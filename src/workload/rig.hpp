@@ -13,12 +13,13 @@
 //      until it drains;
 //   4. collect: every field of the shared RunCounters block is filled, and
 //      the SimCheck end-of-run ledgers (token, cache-bitmap and fault
-//      conservation) are checked. The two read drivers (Experiment::run,
-//      replay_trace) call collect_reads, which also folds their readers'
-//      tallies and derives the read figures.
+//      conservation) are checked.
 //
-// The driver keeps only its validation, its plan, its per-client coroutine
-// and the fold of its own outcomes.
+// The two read drivers (Experiment::run, replay_trace) do steps 3 and 4 in
+// one, run_reads: each compiles its input into one ReadPlan per rank, and
+// the rig's one reader runs, verifies and tallies every plan. The other two
+// drivers keep only their validation, their plan, their per-client
+// coroutine and the fold of their own outcomes.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +34,7 @@
 #include "prefetch/engine.hpp"
 #include "sim/simulation.hpp"
 #include "workload/experiment.hpp"
+#include "workload/trace.hpp"
 
 namespace ppfs::workload::detail {
 
@@ -50,16 +52,17 @@ enum class Topology { kParagon, kParagonScaled };
 sim::Task<void> populate(pfs::PfsClient& loader, std::string name, std::uint64_t tag,
                          ByteCount size);
 
-/// What one reader of a read phase tallies: a node of Experiment::run or a
-/// rank of replay_trace.
-struct ReadTally {
-  sim::SimTime start = 0;  // passed the start line
-  sim::SimTime end = 0;    // last read call returned
-  ByteCount bytes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t verify_failures = 0;
-  std::uint64_t app_errors = 0;       // FaultErrors surfaced to the application
-  sim::StreamingQuantiles latencies;  // per read call, fixed footprint
+/// One rank's program in a read phase: a node of Experiment::run or a rank
+/// of replay_trace. The reader opens `file` in `mode`, seeks to `start`
+/// (when nonzero) before the start line, then runs `ops` in order; a
+/// read's think time follows it.
+struct ReadPlan {
+  std::string file;
+  pfs::IoMode mode = pfs::IoMode::kUnix;
+  std::uint64_t tag = 0;  // the pattern `file` was populated with
+  FileOffset start = 0;
+  bool fastpath = true;
+  std::vector<TraceOp> ops;
 };
 
 class Rig {
@@ -87,10 +90,20 @@ class Rig {
   /// the driver's application code caught.
   void collect(RunCounters& out, std::uint64_t app_errors);
 
-  /// collect for a read phase: fold the readers' tallies into `out`, fill
-  /// the shared counters, and derive wall_elapsed (first start to last
-  /// read), mean_read_call_time, observed_read_bw_mbs and wall_bw_mbs.
-  void collect_reads(ExperimentResult& out, const std::vector<ReadTally>& tallies);
+  /// The read phase: rank r runs plans[r] on client r, all ranks leave one
+  /// start line together, and the simulation runs until it drains. A read
+  /// that throws FaultError counts as an app error. With `verify`, the
+  /// bytes of each read that returned are checked against the plan's
+  /// pattern at the offset its mode put them at: M_LOG and M_SYNC at the
+  /// pointer after the call minus the bytes moved, M_RECORD at the pointer
+  /// before it plus rank x length, every other mode at the pointer before
+  /// it. Throws
+  /// (naming `who`) if a reader did not finish. Then collect fills `out`,
+  /// with the readers' tallies folded in and wall_elapsed (first start to
+  /// last read), mean_read_call_time, observed_read_bw_mbs and wall_bw_mbs
+  /// derived.
+  void run_reads(const std::vector<ReadPlan>& plans, bool verify, ExperimentResult& out,
+                 const char* who);
 
  private:
   /// A client's measured-phase counters at phase start.

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/event.hpp"
-#include "workload/generator.hpp"
 #include "workload/rig.hpp"
 
 namespace ppfs::workload {
@@ -49,11 +47,6 @@ ByteCount required_file_size(const AccessTrace& t) {
     max_end = std::max<FileOffset>(max_end, claim_total);
   }
   return max_end;
-}
-
-bool offsets_are_static(IoMode mode) {
-  return mode == IoMode::kRecord || mode == IoMode::kUnix || mode == IoMode::kAsync ||
-         mode == IoMode::kGlobal;
 }
 
 }  // namespace
@@ -172,46 +165,6 @@ AccessTrace AccessTrace::strided(int ranks, int reads_per_rank, ByteCount len,
   return t;
 }
 
-namespace {
-
-Task<void> rank_replay(sim::Simulation& sim, pfs::PfsClient& client,
-                       std::vector<TraceOp> my_ops, IoMode mode, sim::Barrier& start_line,
-                       bool verify, detail::ReadTally& out) {
-  const int fd = co_await client.open("trace", mode);
-  co_await start_line.arrive_and_wait();
-  out.start = sim.now();
-  out.end = sim.now();
-  std::vector<std::byte> buf;
-  for (const TraceOp& op : my_ops) {
-    if (op.kind == TraceOp::Kind::kSeek) {
-      co_await client.seek(fd, op.offset);
-      continue;
-    }
-    buf.resize(op.length);
-    const FileOffset expect = mode == IoMode::kRecord
-                                  ? client.tell(fd) +
-                                        static_cast<FileOffset>(client.rank()) * op.length
-                                  : client.tell(fd);
-    const SimTime call_start = sim.now();
-    const ByteCount got = co_await client.read(fd, buf);
-    out.latencies.add(sim.now() - call_start);
-    out.bytes += got;
-    ++out.reads;
-    out.end = sim.now();
-    if (verify && got > 0 && offsets_are_static(mode) && mode != IoMode::kGlobal) {
-      if (find_pattern_mismatch(kTraceTag, expect,
-                                std::span<const std::byte>(buf).subspan(0, got)) !=
-          kNoMismatch) {
-        ++out.verify_failures;
-      }
-    }
-    if (op.think > 0) co_await sim.delay(op.think);
-  }
-  client.close(fd);
-}
-
-}  // namespace
-
 ExperimentResult replay_trace(const MachineSpec& mspec, const AccessTrace& trace,
                               bool prefetch_on, prefetch::PrefetchConfig prefetch_cfg,
                               bool verify) {
@@ -229,24 +182,21 @@ ExperimentResult replay_trace(const MachineSpec& mspec, const AccessTrace& trace
   rig.run_populate(std::move(loads), "replay_trace");
   rig.start_phase({});
 
-  // Split ops per rank, preserving order.
-  std::vector<std::vector<TraceOp>> per_rank(trace.ranks);
-  for (const TraceOp& op : trace.ops) per_rank[op.rank].push_back(op);
-
-  sim::Barrier start_line(rig.sim(), trace.ranks);
-  std::vector<detail::ReadTally> outcomes(trace.ranks);
-  for (int r = 0; r < trace.ranks; ++r) {
-    rig.sim().spawn(rank_replay(rig.sim(), rig.client(r), per_rank[r], trace.mode,
-                                start_line, verify, outcomes[r]));
+  // One plan per rank: its ops in trace order.
+  std::vector<detail::ReadPlan> plans(trace.ranks);
+  for (detail::ReadPlan& p : plans) {
+    p.file = "trace";
+    p.mode = trace.mode;
+    p.tag = kTraceTag;
   }
-  rig.sim().run();
+  for (const TraceOp& op : trace.ops) plans[op.rank].ops.push_back(op);
 
   ExperimentResult res;
   res.spec.mode = trace.mode;
   res.spec.prefetch = prefetch_on;
   res.spec.prefetch_cfg = prefetch_cfg;
   res.spec.verify = verify;
-  rig.collect_reads(res, outcomes);
+  rig.run_reads(plans, verify, res, "replay_trace");
   return res;
 }
 

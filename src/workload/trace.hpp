@@ -57,12 +57,13 @@ struct AccessTrace {
 };
 
 /// Replay a trace on a fresh machine. The backing PFS file is created and
-/// patterned large enough for every access; reads are verified when
-/// `verify` is set (only for traces whose reads are offset-determined:
-/// unique-pointer modes and M_RECORD). The result carries every shared
-/// counter and the same read figures as Experiment::run: total_bytes,
-/// reads, verify_failures, the per-call read latencies, wall_elapsed,
-/// mean_read_call_time, observed_read_bw_mbs and wall_bw_mbs.
+/// patterned large enough for every access. Each rank's ops run in the
+/// same reader as Experiment::run's nodes: with `verify` set, reads are
+/// verified in every mode, and a read that fails with a FaultError counts
+/// as an app error. The result carries every shared counter and the same
+/// read figures as Experiment::run: total_bytes, reads, verify_failures,
+/// the per-call read latencies, wall_elapsed, mean_read_call_time,
+/// observed_read_bw_mbs and wall_bw_mbs.
 ExperimentResult replay_trace(const MachineSpec& machine, const AccessTrace& trace,
                               bool prefetch_on, prefetch::PrefetchConfig prefetch_cfg = {},
                               bool verify = false);

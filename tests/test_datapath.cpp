@@ -199,6 +199,15 @@ TEST(MeshMtu, UncontendedSegmentedTimingMatchesLegacy) {
   EXPECT_NEAR(timed_send(0, bytes), timed_send(16 * 1024, bytes), 1e-12);
 }
 
+TEST(MeshMtu, MessageWithinOneMtuIsTheCircuit) {
+  // A message that fits in one MTU, a zero-byte one included, moves as one
+  // segment over its whole route: the circuit's time, bit for bit.
+  for (const sim::ByteCount n : {sim::ByteCount{0}, sim::ByteCount{96},
+                                 sim::ByteCount{16 * 1024}}) {
+    EXPECT_EQ(timed_send(16 * 1024, n), timed_send(0, n)) << n << " bytes";
+  }
+}
+
 TEST(MeshMtu, SegmentCountersTrackCeilDiv) {
   Simulation sim;
   hw::MeshNetwork mesh(sim, hw::MeshConfig{.width = 4, .height = 4, .mtu = 16 * 1024});

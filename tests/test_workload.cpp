@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
 
@@ -168,6 +169,81 @@ TEST(Experiment, TooSmallFileThrows) {
   auto w = small_spec(IoMode::kRecord);
   w.file_size = w.request_size;  // less than one request per node
   EXPECT_THROW(e.run(w), std::invalid_argument);
+}
+
+// ---- one reader for both read drivers -------------------------------------
+
+/// The trace that spells out `w` on `ranks` ranks: `reads` reads of
+/// w.request_size per rank, each after a seek to seek(rank, k) when `seek`
+/// is set, with w.compute_delay after every read but each rank's last.
+AccessTrace spell_out(const WorkloadSpec& w, int ranks, std::uint64_t reads,
+                      const std::function<FileOffset(int, std::uint64_t)>& seek) {
+  AccessTrace t;
+  t.mode = w.mode;
+  t.ranks = ranks;
+  for (std::uint64_t k = 0; k < reads; ++k) {
+    for (int r = 0; r < ranks; ++r) {
+      if (seek) t.ops.push_back(TraceOp{r, TraceOp::Kind::kSeek, 0, seek(r, k), 0});
+      const SimTime think = k + 1 < reads ? w.compute_delay : 0.0;
+      t.ops.push_back(TraceOp{r, TraceOp::Kind::kRead, w.request_size, 0, think});
+    }
+  }
+  return t;
+}
+
+/// Experiment::run of `w` and replay_trace of the trace that spells it out
+/// must be one run. Replay sizes its file to the trace's last read, so `w`
+/// must read its whole file.
+void expect_one_run(const WorkloadSpec& w, const AccessTrace& t) {
+  const ExperimentResult a = Experiment(small_machine()).run(w);
+  const ExperimentResult b = replay_trace(small_machine(), t, /*prefetch_on=*/false, {},
+                                          /*verify=*/true);
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  EXPECT_EQ(a.max_node_read_time, b.max_node_read_time);
+  EXPECT_EQ(a.read_latencies.sum(), b.read_latencies.sum());
+  EXPECT_EQ(a.verify_failures, 0u);
+  EXPECT_EQ(b.verify_failures, 0u);
+}
+
+TEST(OneReader, RecordWorkloadIsItsTrace) {
+  WorkloadSpec w = small_spec(IoMode::kRecord);
+  w.compute_delay = 0.005;
+  expect_one_run(w, spell_out(w, 4, 8, nullptr));
+}
+
+TEST(OneReader, InterleavedAsyncWorkloadIsItsTrace) {
+  WorkloadSpec w = small_spec(IoMode::kAsync);
+  w.compute_delay = 0.005;
+  expect_one_run(w, spell_out(w, 4, 8, [&](int r, std::uint64_t k) {
+                   return (k * 4 + r) * w.request_size;
+                 }));
+}
+
+TEST(OneReader, StridedUnixWorkloadIsItsTrace) {
+  // Stride 1, so the walk reads the whole file: a larger stride leaves
+  // records past the trace's last read, which replay would not populate.
+  WorkloadSpec w = small_spec(IoMode::kUnix);
+  w.pattern = AccessPattern::kStrided;
+  w.stride = 1;
+  w.compute_delay = 0.005;
+  expect_one_run(w, spell_out(w, 4, 8, [&](int r, std::uint64_t k) {
+                   return (r + k * 4 * w.stride) * w.request_size;
+                 }));
+}
+
+TEST(OneReader, ReplayVerifiesEveryMode) {
+  for (IoMode mode : pfs::all_io_modes()) {
+    SCOPED_TRACE(std::string(to_string(mode)));
+    const AccessTrace t = AccessTrace::sequential(mode, 4, 8, 64 * 1024, 0.002);
+    const auto res = replay_trace(small_machine(), t, /*prefetch_on=*/false, {},
+                                  /*verify=*/true);
+    EXPECT_EQ(res.reads, 32u);
+    EXPECT_EQ(res.total_bytes, 32u * 64 * 1024);
+    EXPECT_EQ(res.verify_failures, 0u);
+  }
 }
 
 TEST(Pattern, MismatchDetection) {
