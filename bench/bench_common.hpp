@@ -21,6 +21,7 @@
 #include "bench_commit.hpp"  // PPFS_BENCH_COMMIT, from bench/bench_commit.cmake
 #include "exp/sweep.hpp"
 #include "workload/experiment.hpp"
+#include "workload/generator.hpp"
 #include "workload/report.hpp"
 
 namespace ppfs::bench {
@@ -143,8 +144,10 @@ inline JsonObject outcome_json(const exp::SweepOutcome& o) {
 /// A BENCH_*.json document: the bench's name, then the commit, build and
 /// host that measured it. A host-time figure from a Debug or SimCheck
 /// build, or from a one-core machine, says nothing about a Release build on
-/// four cores. PPFS_BUILD_TYPE and PPFS_BENCH_COMMIT (`git describe` at
-/// build time, "unknown" outside a checkout) come from bench/CMakeLists.txt.
+/// four cores; nor does one from a CPU that runs another pattern kernel
+/// (`pattern_kernel`: word, avx2 or avx512). PPFS_BUILD_TYPE and
+/// PPFS_BENCH_COMMIT (`git describe` at build time, "unknown" outside a
+/// checkout) come from bench/CMakeLists.txt.
 inline JsonObject bench_doc(std::string_view bench, bool quick) {
 #if defined(NDEBUG)
   constexpr bool ndebug = true;
@@ -171,6 +174,7 @@ inline JsonObject bench_doc(std::string_view bench, bool quick) {
       .field("simcheck", simcheck)
       .field("compiler", compiler)
       .field("hardware_concurrency", static_cast<int>(std::thread::hardware_concurrency()))
+      .field("pattern_kernel", workload::pattern_kernel_name())
       .field("quick", quick);
   return doc;
 }

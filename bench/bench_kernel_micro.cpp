@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "pfs/stripe.hpp"
@@ -16,6 +17,7 @@
 #include "sim/task.hpp"
 #include "ufs/block_store.hpp"
 #include "workload/generator.hpp"
+#include "workload/pattern_kernel.hpp"
 
 namespace {
 
@@ -94,34 +96,35 @@ void BM_RngNext(benchmark::State& state) {
 }
 BENCHMARK(BM_RngNext);
 
-void BM_PatternFill(benchmark::State& state) {
+// Pattern rows run one kernel each, registered in main for every entry of
+// detail::pattern_kernels() this CPU can run, so one host's output compares
+// the kernels side by side.
+void BM_PatternFill(benchmark::State& state, const ppfs::workload::detail::PatternKernel* k) {
   std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)) * 1024);
   // The start comes from run-time data and moves on by a buffer each
   // iteration, as a populate's does, so no fill can be folded or hoisted.
   auto start = static_cast<ppfs::sim::FileOffset>(state.range(0));
   for (auto _ : state) {
-    ppfs::workload::fill_pattern(7, start, buf);
+    k->fill(7, start, buf);
     benchmark::DoNotOptimize(buf.data());
     benchmark::ClobberMemory();
     start += buf.size();
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(buf.size()));
 }
-BENCHMARK(BM_PatternFill)->Arg(64)->Arg(1024);
 
-void BM_PatternVerify(benchmark::State& state) {
+void BM_PatternVerify(benchmark::State& state, const ppfs::workload::detail::PatternKernel* k) {
   std::vector<std::byte> buf(static_cast<std::size_t>(state.range(0)) * 1024);
   const auto start = static_cast<ppfs::sim::FileOffset>(state.range(0));
   ppfs::workload::fill_pattern(7, start, buf);
   std::size_t at = 0;
   for (auto _ : state) {
-    at = ppfs::workload::find_pattern_mismatch(7, start, buf);
+    at = k->find_mismatch(7, start, buf);
     benchmark::DoNotOptimize(at);
   }
   if (at != ppfs::workload::kNoMismatch) state.SkipWithError("verify misread a clean buffer");
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(buf.size()));
 }
-BENCHMARK(BM_PatternVerify)->Arg(64)->Arg(1024);
 
 // The content store in the populate's shape: one pass over a 128 MiB image
 // of 64 KiB chunks, in 64 KiB pieces, from or into a 1 MiB pattern buffer.
@@ -179,4 +182,20 @@ BENCHMARK(BM_ContentStoreRead);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  for (const auto& k : ppfs::workload::detail::pattern_kernels()) {
+    if (!k.runnable) continue;
+    const std::string name = k.name;
+    benchmark::RegisterBenchmark(("BM_PatternFill/" + name).c_str(), BM_PatternFill, &k)
+        ->Arg(64)
+        ->Arg(1024);
+    benchmark::RegisterBenchmark(("BM_PatternVerify/" + name).c_str(), BM_PatternVerify, &k)
+        ->Arg(64)
+        ->Arg(1024);
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -355,9 +355,21 @@ sim::Task<ByteCount> PfsClient::transfer(PfsFileMeta& meta, FileOffset off, Byte
   // Propagating join: a terminal fault in one RPC surfaces here as a typed
   // error after the sibling transfers settle, instead of killing the whole
   // simulation.
-  co_await sim::when_all_propagate(machine_.simulation(), parts);
+  try {
+    co_await sim::when_all_propagate(machine_.simulation(), parts);
+  } catch (...) {
+    // Pieces that landed before the fault still changed the servers' bytes.
+    if (buf.is_write) invalidate_prefetched(meta.id, off, len);
+    throw;
+  }
   // ppfs::endhot
-  if (buf.is_write) meta.size = std::max<ByteCount>(meta.size, off + len);
+  if (buf.is_write) {
+    meta.size = std::max<ByteCount>(meta.size, off + len);
+    // Every byte this client writes to the I/O nodes passes here (a direct
+    // write, an ART's iwrite, a write-back flush), so here its prefetched
+    // copies of them go stale, landed or still in flight.
+    invalidate_prefetched(meta.id, off, len);
+  }
   co_return len;
 }
 
@@ -463,21 +475,21 @@ sim::Task<ByteCount> PfsClient::read(int fd, std::span<std::byte> out) {
     ++token_stats_.wb_read_hits;
     served = true;
   }
-  if (!served && prefetcher_) {
-    auto hit = co_await prefetcher_->try_serve(fd, off, len, out);
+  if (!served) {
+    std::optional<ByteCount> hit;
+    if (prefetcher_) hit = co_await prefetcher_->try_serve(fd, off, len, out);
     if (hit) {
       got = *hit;
-      served = true;
+    } else {
+      // M_GLOBAL goes through the I/O-node buffer cache so that N nodes
+      // asking for the same blocks trigger one disk access.
+      const bool fast = f.fastpath && f.mode != IoMode::kGlobal;
+      got = co_await read_at(fd, off, len, out, fast);
     }
-  }
-  if (!served) {
-    // M_GLOBAL goes through the I/O-node buffer cache so that N nodes
-    // asking for the same blocks trigger one disk access.
-    const bool fast = f.fastpath && f.mode != IoMode::kGlobal;
-    got = co_await read_at(fd, off, len, out, fast);
     if (fs_.params().write_tokens) {
       // Partially-dirty ranges: newer buffered bytes overlay the server
-      // data, and trailing dirty bytes past EOF extend the count.
+      // data (or a prefetch of it), and trailing dirty bytes past EOF
+      // extend the count.
       got = wb_overlay(f.file, off, out.first(len), got);
     }
   }
@@ -565,6 +577,13 @@ sim::Task<AsyncHandle> PfsClient::post_async(int fd, UserBuffer buf) {
   advance_pointer(f, req->offset, len, len);
   arts_.post(req);
   co_return req;
+}
+
+void PfsClient::invalidate_prefetched(FileId file, FileOffset off, ByteCount len) {
+  if (!prefetcher_) return;
+  for (const auto& [fd, f] : fds_) {
+    if (f.file == file) prefetcher_->on_write(fd, off, len);
+  }
 }
 
 sim::Task<ByteCount> PfsClient::iowait(AsyncHandle h) {

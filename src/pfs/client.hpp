@@ -59,6 +59,10 @@ class Prefetcher {
   /// requests". Awaitable because issuing a prefetch costs user-thread CPU
   /// (the ART setup + buffer allocation) — the overhead the paper measures.
   virtual sim::Task<void> after_read(int fd, FileOffset off, ByteCount len) = 0;
+  /// Called once this client's write of [off, off+len) has reached the I/O
+  /// nodes (or a fault stopped it part way), once per descriptor the client
+  /// holds on the written file: any prefetched copy of those bytes is stale.
+  virtual void on_write(int fd, FileOffset off, ByteCount len) = 0;
   virtual void on_open(int fd) = 0;
   /// "At the time the process closes the file, all the prefetch buffers
   /// are freed."
@@ -249,6 +253,8 @@ class PfsClient : public TokenRevokeHandler {
   sim::Task<void> unlock_file(sim::ResourceGuard& lock);
   /// iread/iwrite: resolve the offset, advance the pointer, post to an ART.
   sim::Task<AsyncHandle> post_async(int fd, UserBuffer buf);
+  /// Prefetcher::on_write for every descriptor this client holds on `file`.
+  void invalidate_prefetched(FileId file, FileOffset off, ByteCount len);
 
   /// Move [off, off + len) between `buf` (whose first byte is file offset
   /// `off`) and the I/O nodes: map the range onto stripe extents, merge

@@ -192,6 +192,25 @@ void PrefetchEngine::retire(PrefetchBufferList::Handle buf) {
   }
 }
 
+std::uint64_t PrefetchEngine::discard_overlapping(PrefetchBufferList& list, FileOffset off,
+                                                  ByteCount len) {
+  std::uint64_t dropped = 0;
+  for (auto& stale : list.overlapping(off, len)) {
+    list.remove(stale);
+    occupancy_changed(-1, -static_cast<std::int64_t>(stale->length));
+    stats_.wasted_bytes += stale->length;
+    retire(stale);
+    ++stats_.stale_discarded;
+    if (auto* a = auditor()) a->on_buffer_discarded(this);
+    ++dropped;
+  }
+  return dropped;
+}
+
+void PrefetchEngine::on_write(int fd, FileOffset off, ByteCount len) {
+  if (auto it = lists_.find(fd); it != lists_.end()) discard_overlapping(it->second, off, len);
+}
+
 sim::Task<std::optional<ByteCount>> PrefetchEngine::try_serve(int fd, FileOffset off,
                                                               ByteCount len,
                                                               std::span<std::byte> out) {
@@ -215,16 +234,7 @@ sim::Task<std::optional<ByteCount>> PrefetchEngine::try_serve(int fd, FileOffset
   if (!buf) {
     // Wrong-prediction hygiene: anything overlapping this read but not
     // matching it exactly will never hit; free it now.
-    std::uint64_t dropped = 0;
-    for (auto& stale : list.overlapping(off, len)) {
-      list.remove(stale);
-      occupancy_changed(-1, -static_cast<std::int64_t>(stale->length));
-      stats_.wasted_bytes += stale->length;
-      retire(stale);
-      ++stats_.stale_discarded;
-      if (auto* a = auditor()) a->on_buffer_discarded(this);
-      ++dropped;
-    }
+    const std::uint64_t dropped = discard_overlapping(list, off, len);
     if (controller_ && dropped) controller_->on_wasted(fd, dropped);
     ++stats_.misses;
     trace_instant(trace::code::kPrefetchMiss, off, len);

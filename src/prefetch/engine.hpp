@@ -123,6 +123,10 @@ class PrefetchEngine final : public pfs::Prefetcher {
   sim::Task<std::optional<ByteCount>> try_serve(int fd, FileOffset off, ByteCount len,
                                                 std::span<std::byte> out) override;
   sim::Task<void> after_read(int fd, FileOffset off, ByteCount len) override;
+  /// Drops every buffer of `fd` that overlaps the write, landed or in
+  /// flight, as try_serve drops stale ones. The adaptive controller is not
+  /// told: the prediction was not wrong.
+  void on_write(int fd, FileOffset off, ByteCount len) override;
   void on_open(int fd) override;
   void on_close(int fd) override;
 
@@ -141,6 +145,9 @@ class PrefetchEngine final : public pfs::Prefetcher {
   /// once the request completes.
   void retire(PrefetchBufferList::Handle buf);
   sim::Task<void> reap(PrefetchBufferList::Handle buf);
+  /// Discard every buffer in `list` overlapping [off, off+len) as stale;
+  /// returns how many.
+  std::uint64_t discard_overlapping(PrefetchBufferList& list, FileOffset off, ByteCount len);
 
   /// Feed a serve outcome to the adaptive controller and trace/record any
   /// resulting depth transition. No-op when adaptive depth is off.

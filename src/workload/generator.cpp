@@ -21,8 +21,8 @@ namespace {
 // off * kPatternOffMul: the tag contributes one constant byte, and the
 // offset product grows by kPatternOffMul per byte (mod 2^64, so offsets
 // that wrap stay exact). Eight bytes are assembled from one running product.
-// This kernel runs on CPUs without the vector ISA and on the ragged tails
-// the vector kernel leaves.
+// This kernel runs on CPUs without a vector ISA and on the ragged tails
+// the vector kernels leave.
 
 /// Shift that puts byte j of a word at address offset j once stored.
 constexpr unsigned word_shift(std::size_t j) {
@@ -198,6 +198,146 @@ bool cpu_has_avx2() {
   return __builtin_cpu_supports("avx2");
 }
 
+// ---- AVX-512 kernel: 64 bytes per step -----------------------------------
+//
+// The AVX2 kernel's generator on 64-byte blocks. lo(X) sits in 16 dword
+// lanes, and vpcmpud orders lanes as unsigned, so nothing is biased: four
+// compares against ~lo(j*M), for byte j = 16k + lane of vector k, give the
+// carries as four 16-bit masks, and two kunpckwd and one kunpckdq join them
+// into one 64-bit mask whose bit j is byte j's carry. No pack and no lane
+// order is involved. One masked byte subtract of all-ones adds the carries
+// to `hi`, and one XOR adds the tag byte. The block step adds lo(64*M) to
+// every lane, and byte 4 of 64*M plus that addition's carry (the same in
+// every lane) to every byte of `hi`.
+//
+// Verify XORs four generated blocks with the data and ORs the four results
+// with one vpternlogq, so a clean 256-byte group costs one branch. Only a
+// group with a nonzero byte is scanned, its blocks in address order. Whole
+// blocks past the last group go one at a time, and the tail under 64 bytes
+// goes to the word loop.
+
+constexpr std::uint64_t kBlock512 = 64;
+constexpr std::uint64_t kBlockStep512 = kBlock512 * kPatternOffMul;
+constexpr std::size_t kGroupBytes = 4 * kBlock512;
+
+struct Avx512Constants {
+  /// ~lo(j*M) for byte j of a block: lane i of vector k is byte 16k + i.
+  alignas(64) std::uint32_t carry_above[kBlock512];
+  /// Byte 4 of j*M.
+  alignas(64) std::uint8_t hi[kBlock512];
+};
+
+constexpr Avx512Constants make_avx512_constants() {
+  Avx512Constants c{};
+  for (std::uint64_t j = 0; j < kBlock512; ++j) {
+    const std::uint64_t p = j * kPatternOffMul;
+    c.carry_above[j] = ~static_cast<std::uint32_t>(p);
+    c.hi[j] = static_cast<std::uint8_t>(p >> 32);
+  }
+  return c;
+}
+
+constexpr Avx512Constants kAvx512 = make_avx512_constants();
+
+/// Generator state for the next 64-byte block.
+struct Avx512Stream {
+  __m512i lo;   ///< lo(X) in every 32-bit lane
+  __m512i hi;   ///< byte j: byte 4 of X + byte 4 of j*M
+  __m512i tag;  ///< pattern_byte(tag, 0) in every byte
+};
+
+[[gnu::target("avx512f,avx512bw")]] inline __m512i load512(const void* p) {
+  return _mm512_loadu_si512(p);
+}
+
+[[gnu::target("avx512f,avx512bw")]] void avx512_start(Avx512Stream& s, std::uint64_t tag,
+                                                      FileOffset start) {
+  const std::uint64_t x = start * kPatternOffMul;
+  s.lo = _mm512_set1_epi32(static_cast<std::int32_t>(static_cast<std::uint32_t>(x)));
+  s.hi = _mm512_add_epi8(_mm512_set1_epi8(static_cast<char>(x >> 32)), load512(kAvx512.hi));
+  s.tag = _mm512_set1_epi8(std::to_integer<char>(pattern_byte(tag, 0)));
+}
+
+/// The pattern bytes of the current block; advances to the next.
+[[gnu::target("avx512f,avx512bw"), gnu::always_inline]] inline __m512i avx512_next(
+    Avx512Stream& s) {
+  const __mmask16 c0 = _mm512_cmpgt_epu32_mask(s.lo, load512(kAvx512.carry_above));
+  const __mmask16 c1 = _mm512_cmpgt_epu32_mask(s.lo, load512(kAvx512.carry_above + 16));
+  const __mmask16 c2 = _mm512_cmpgt_epu32_mask(s.lo, load512(kAvx512.carry_above + 32));
+  const __mmask16 c3 = _mm512_cmpgt_epu32_mask(s.lo, load512(kAvx512.carry_above + 48));
+  // kunpck puts its second operand in the low half.
+  const __mmask64 carries = _mm512_kunpackd(_mm512_kunpackw(c3, c2), _mm512_kunpackw(c1, c0));
+  const __m512i bytes =
+      _mm512_xor_si512(_mm512_mask_sub_epi8(s.hi, carries, s.hi, _mm512_set1_epi8(-1)), s.tag);
+  // The block step's carry out of the low words: bit 31 of the majority of
+  // lo, lo(64*M) and ~(their sum), spread over the lane by an arithmetic
+  // shift. No compare: the compares above already fill the port that runs
+  // them. (The zero-masked shift with a full mask is a plain vpsrad; GCC
+  // 12's unmasked intrinsic trips -Wmaybe-uninitialized.)
+  const __m512i step_lo = _mm512_set1_epi32(static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(kBlockStep512)));
+  const __m512i next_lo = _mm512_add_epi32(s.lo, step_lo);
+  const __m512i step_carry = _mm512_maskz_srai_epi32(
+      0xffff, _mm512_ternarylogic_epi32(s.lo, step_lo, next_lo, 0xd4), 31);
+  s.lo = next_lo;
+  s.hi = _mm512_sub_epi8(
+      _mm512_add_epi8(s.hi, _mm512_set1_epi8(static_cast<char>(kBlockStep512 >> 32))),
+      step_carry);
+  return bytes;
+}
+
+/// Index of the first nonzero byte of `x`, or 64 when none is.
+[[gnu::target("avx512f,avx512bw"), gnu::always_inline]] inline std::size_t first_nonzero(
+    __m512i x) {
+  // Bit k is byte k's test; x86 keeps address order in the mask.
+  return static_cast<std::size_t>(std::countr_zero(_mm512_test_epi8_mask(x, x)));
+}
+
+[[gnu::target("avx512f,avx512bw")]] void fill_avx512(std::uint64_t tag, FileOffset start,
+                                                     std::span<std::byte> out) {
+  Avx512Stream s;
+  avx512_start(s, tag, start);
+  std::size_t i = 0;
+  for (; i + kBlock512 <= out.size(); i += kBlock512) {
+    _mm512_storeu_si512(out.data() + i, avx512_next(s));
+  }
+  fill_words(tag, start + i, out.subspan(i));
+}
+
+[[gnu::target("avx512f,avx512bw")]] std::size_t mismatch_avx512(
+    std::uint64_t tag, FileOffset start, std::span<const std::byte> data) {
+  Avx512Stream s;
+  avx512_start(s, tag, start);
+  const std::byte* p = data.data();
+  std::size_t i = 0;
+  for (; i + kGroupBytes <= data.size(); i += kGroupBytes) {
+    const __m512i x0 = _mm512_xor_si512(avx512_next(s), load512(p + i));
+    const __m512i x1 = _mm512_xor_si512(avx512_next(s), load512(p + i + kBlock512));
+    const __m512i x2 = _mm512_xor_si512(avx512_next(s), load512(p + i + 2 * kBlock512));
+    const __m512i x3 = _mm512_xor_si512(avx512_next(s), load512(p + i + 3 * kBlock512));
+    const __m512i any = _mm512_ternarylogic_epi64(_mm512_or_si512(x0, x1), x2, x3, 0xfe);
+    if (_mm512_test_epi64_mask(any, any) != 0) {
+      if (const std::size_t k = first_nonzero(x0); k < kBlock512) return i + k;
+      if (const std::size_t k = first_nonzero(x1); k < kBlock512) return i + kBlock512 + k;
+      if (const std::size_t k = first_nonzero(x2); k < kBlock512) return i + 2 * kBlock512 + k;
+      return i + 3 * kBlock512 + first_nonzero(x3);
+    }
+  }
+  for (; i + kBlock512 <= data.size(); i += kBlock512) {
+    const __m512i x = _mm512_xor_si512(avx512_next(s), load512(p + i));
+    if (const std::size_t k = first_nonzero(x); k < kBlock512) return i + k;
+  }
+  const std::size_t tail = mismatch_words(tag, start + i, data.subspan(i));
+  return tail == kNoMismatch ? kNoMismatch : i + tail;
+}
+
+bool cpu_has_avx512bw() {
+  // As cpu_has_avx2. libgcc reports AVX-512 features only when the OS saves
+  // the mask and ZMM registers.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
+}
+
 #endif  // __x86_64__
 
 /// The last runnable entry of pattern_kernels(), chosen on first use.
@@ -219,6 +359,7 @@ std::span<const PatternKernel> pattern_kernels() {
       {"word", true, fill_words, mismatch_words},
 #if defined(__x86_64__)
       {"avx2", cpu_has_avx2(), fill_avx2, mismatch_avx2},
+      {"avx512", cpu_has_avx512bw(), fill_avx512, mismatch_avx512},
 #endif
   };
   return kernels;
@@ -259,6 +400,8 @@ std::uint64_t listio_reads_per_node(const WorkloadSpec& w, int nprocs) {
 void fill_pattern(std::uint64_t tag, FileOffset start, std::span<std::byte> out) {
   best_kernel().fill(tag, start, out);
 }
+
+const char* pattern_kernel_name() { return best_kernel().name; }
 
 std::size_t find_pattern_mismatch(std::uint64_t tag, FileOffset start,
                                   std::span<const std::byte> data) {

@@ -86,6 +86,10 @@ inline std::byte pattern_byte(std::uint64_t tag, std::uint64_t off) {
 /// out[i] = pattern_byte(tag, start + i).
 void fill_pattern(std::uint64_t tag, FileOffset start, std::span<std::byte> out);
 
+/// Name of the kernel fill_pattern and find_pattern_mismatch run on this
+/// CPU: "word", "avx2" or "avx512". Host rates depend on it; bytes do not.
+const char* pattern_kernel_name();
+
 // Offset plans for the noncontiguous patterns; shared by the reader's seek
 // targets and the byte-pattern verification so both always agree.
 

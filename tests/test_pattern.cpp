@@ -1,15 +1,17 @@
 // Pattern synthesis against the byte-at-a-time reference.
 //
 // workload::fill_pattern and find_pattern_mismatch run the fastest kernel
-// the CPU supports: a vector kernel that makes 32 pattern bytes per step,
-// or the portable loop that assembles eight per 64-bit word. The reference
-// is test_util.hpp's pattern_byte, which stays apart from src/, so a wrong
-// assembly cannot agree with itself. PatternEquivalence checks the public
-// functions; PatternKernel checks every kernel compiled into the build,
-// reached through detail::pattern_kernels(), on whatever CPU runs the
-// suite. Word and vector assembly is exactly what optimisers rewrite most
-// aggressively, so these checks have to pass at every optimisation level;
-// the Release build (-O3) runs them like any other ctest.
+// the CPU supports: a vector kernel that makes 64 (AVX-512) or 32 (AVX2)
+// pattern bytes per step, or the portable loop that assembles eight per
+// 64-bit word. The reference is test_util.hpp's pattern_byte, which stays
+// apart from src/, so a wrong assembly cannot agree with itself.
+// PatternEquivalence checks the public functions; PatternKernel checks
+// every kernel compiled into the build, reached through
+// detail::pattern_kernels(), on whatever CPU runs the suite (a kernel the
+// CPU cannot run reads Skipped in ctest). Word and vector assembly is
+// exactly what optimisers rewrite most aggressively, so these checks have
+// to pass at every optimisation level; the Release build (-O3) runs them
+// like any other ctest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,9 +149,10 @@ class PatternKernelTest : public ::testing::TestWithParam<PatternKernel> {
   }
 };
 
-/// Longest window the alignment sweeps use: eight 32-byte vectors and a
-/// ragged byte.
-constexpr std::size_t kMaxLen = 257;
+/// Longest window the alignment sweeps use: two 256-byte verify groups of
+/// four 64-byte vectors, one more vector and a ragged byte, so every loop
+/// of every kernel runs more than once and hands over to the next.
+constexpr std::size_t kMaxLen = 577;
 constexpr std::uint64_t kTag = 0xdeadbeef;  // pattern_byte(kTag, 0) is not 0
 constexpr auto kGuardByte = std::byte{0xa5};
 
@@ -262,9 +265,10 @@ TEST_P(PatternKernelTest, FillAcrossLowWordCarries) {
   for (const FileOffset edge : carry_edges()) {
     const auto lo = static_cast<std::uint32_t>(edge * kPatternOffMul);
     ASSERT_TRUE(lo >= 0xfffffffeu || lo <= 1u) << "edge " << edge << " low word " << lo;
-    // The edge lands at every byte of the first two vectors.
-    for (FileOffset d = 0; d < 64; ++d) {
-      ASSERT_TRUE(fill_window(GetParam(), kTag, edge - d, d % 64, 96));
+    // The edge lands at every byte of the first two 64-byte vectors, so a
+    // block's own carries and the step to the next block both meet it.
+    for (FileOffset d = 0; d < 128; ++d) {
+      ASSERT_TRUE(fill_window(GetParam(), kTag, edge - d, d % 64, 160));
     }
   }
 }
@@ -281,7 +285,7 @@ TEST_P(PatternKernelTest, VerifyEveryMisalignmentAndLength) {
   for (std::size_t mis = 0; mis < 64; ++mis) {
     for (std::size_t len = 0; len <= kMaxLen; ++len) {
       ASSERT_TRUE(verify_window(GetParam(), kTag, 5, mis, len,
-                                {0, 7, 8, 31, 32, len / 2, len - 1}));
+                                {0, 7, 8, 31, 32, 63, 64, 255, 256, len / 2, len - 1}));
     }
   }
 }
@@ -296,18 +300,20 @@ TEST_P(PatternKernelTest, VerifyEveryStartResidueAndLengthAcrossWrapPoints) {
 
 TEST_P(PatternKernelTest, VerifyAcrossLowWordCarries) {
   for (const FileOffset edge : carry_edges()) {
-    for (std::size_t d = 0; d < 64; ++d) {
-      ASSERT_TRUE(verify_window(GetParam(), kTag, edge - d, d, 96, {d}));
+    for (std::size_t d = 0; d < 128; ++d) {
+      ASSERT_TRUE(verify_window(GetParam(), kTag, edge - d, d % 64, 160, {d}));
     }
   }
 }
 
 TEST_P(PatternKernelTest, VerifyReportsTheFirstOfTwoMismatchesInOneVector) {
-  // Pairs inside the first or second 32-byte vector, and pairs across them.
-  constexpr std::size_t kLen = 100;
+  // Every pair in the first 256 bytes: inside one 32- or 64-byte vector, and
+  // across the vectors of one AVX-512 verify group, which is scanned in
+  // address order only once the whole group is found dirty.
+  constexpr std::size_t kLen = 300;
   Arena a;
-  for (std::size_t first = 0; first < 64; ++first) {
-    for (std::size_t second = first + 1; second < 64; ++second) {
+  for (std::size_t first = 0; first < 256; ++first) {
+    for (std::size_t second = first + 1; second < 256; ++second) {
       const std::size_t mis = (first + second) % 64;
       const auto window = std::span(a.bytes).subspan(Arena::kWindow + mis, kLen);
       const auto ref = ppfs::test::make_pattern(kTag, 77, kLen);
@@ -340,9 +346,20 @@ TEST(PatternKernels, WordLoopFirstAndEveryIsaVariantCompiled) {
   EXPECT_STREQ(kernels.front().name, "word");
   EXPECT_TRUE(kernels.front().runnable);
 #if defined(__x86_64__)
-  EXPECT_TRUE(std::any_of(kernels.begin(), kernels.end(),
-                          [](const PatternKernel& k) { return std::strcmp(k.name, "avx2") == 0; }));
+  for (const char* isa : {"avx2", "avx512"}) {
+    EXPECT_TRUE(std::any_of(kernels.begin(), kernels.end(),
+                            [&](const PatternKernel& k) { return std::strcmp(k.name, isa) == 0; }))
+        << isa;
+  }
 #endif
+}
+
+TEST(PatternKernels, PublicFunctionsRunTheLastRunnableKernel) {
+  const auto kernels = detail::pattern_kernels();
+  const auto last = std::find_if(kernels.rbegin(), kernels.rend(),
+                                 [](const PatternKernel& k) { return k.runnable; });
+  ASSERT_NE(last, kernels.rend());
+  EXPECT_STREQ(pattern_kernel_name(), last->name);
 }
 
 }  // namespace

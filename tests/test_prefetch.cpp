@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "fault/error.hpp"
 #include "hw/machine.hpp"
 #include "pfs/client.hpp"
 #include "pfs/filesystem.hpp"
@@ -27,9 +28,11 @@ using sim::SimTime;
 using sim::Task;
 
 struct Testbed {
-  explicit Testbed(int ncompute = 8, int nio = 8)
-      : machine(sim, hw::MachineConfig::paragon(ncompute, nio)),
-        fs(machine, pfs::PfsParams{}) {
+  explicit Testbed(int ncompute = 8, int nio = 8, pfs::PfsParams params = {})
+      : Testbed(hw::MachineConfig::paragon(ncompute, nio), params) {}
+  Testbed(const hw::MachineConfig& cfg, pfs::PfsParams params)
+      : machine(sim, cfg), fs(machine, params) {
+    const int ncompute = machine.compute_node_count();
     for (int r = 0; r < ncompute; ++r) {
       clients.push_back(std::make_unique<pfs::PfsClient>(fs, r, r, ncompute));
     }
@@ -305,6 +308,232 @@ TEST(PrefetchEngine, SeekMakesBufferStale) {
   }(tb));
   EXPECT_EQ(engine->stats().stale_discarded, 1u);
   EXPECT_EQ(engine->stats().hits_ready, 0u);
+}
+
+// A client's own write over a range it has prefetched: the buffer holds the
+// bytes from before the write, so the write's arrival at the I/O nodes drops
+// it, landed or in flight, and the next read of the range goes to them.
+
+constexpr ByteCount kBlock = 64 * 1024;
+
+/// On a 4x4 machine, through client 0 alone: writes four blocks of tag 1,
+/// reads block 0 (a miss, which prefetches block 1), waits `land` seconds,
+/// writes `over` bytes of tag 2 at the start of block 1 (by iwrite and
+/// iowait when `async`), and reads block 1 back into `out`.
+Task<void> write_over_prefetch(Testbed& t, SimTime land, ByteCount over, bool async,
+                               std::span<std::byte> out) {
+  auto& c = *t.clients[0];
+  const int fd = co_await c.open("f", IoMode::kAsync);
+  co_await c.write(fd, make_pattern(1, 0, 4 * kBlock));
+  co_await c.fsync(fd);  // with write tokens, the servers now hold tag 1
+  co_await c.seek(fd, 0);
+  std::vector<std::byte> block0(kBlock);
+  co_await c.read(fd, block0);
+  if (land > 0) co_await t.sim.delay(land);
+  co_await c.seek(fd, kBlock);
+  const auto tag2 = make_pattern(2, kBlock, over);
+  if (async) {
+    co_await c.iowait(co_await c.iwrite(fd, tag2));
+  } else {
+    co_await c.write(fd, tag2);
+  }
+  co_await c.seek(fd, kBlock);
+  co_await c.read(fd, out);
+  c.close(fd);
+}
+
+TEST(PrefetchEngine, OwnWriteOverALandedBufferDropsIt) {
+  Testbed tb(4, 4);
+  tb.fs.create("f", tb.fs.default_attrs());
+  auto engine = attach_prefetcher(*tb.clients[0], PrefetchConfig{});
+  std::vector<std::byte> got(kBlock);
+  run_task(tb.sim, write_over_prefetch(tb, /*land=*/1.0, kBlock, /*async=*/false, got));
+  EXPECT_TRUE(check_pattern(got, 2, kBlock));
+  EXPECT_EQ(engine->stats().hits_ready, 0u);
+  EXPECT_EQ(engine->stats().stale_discarded, 1u);
+  EXPECT_EQ(engine->stats().misses, 2u);
+}
+
+TEST(PrefetchEngine, OwnWriteOverAnInFlightBufferDropsIt) {
+  Testbed tb(4, 4);
+  tb.fs.create("f", tb.fs.default_attrs());
+  auto engine = attach_prefetcher(*tb.clients[0], PrefetchConfig{});
+  std::vector<std::byte> got(kBlock);
+  run_task(tb.sim, write_over_prefetch(tb, /*land=*/0.0, kBlock, /*async=*/false, got));
+  EXPECT_TRUE(check_pattern(got, 2, kBlock));
+  EXPECT_EQ(engine->stats().hits_in_flight, 0u);
+  EXPECT_EQ(engine->stats().stale_discarded, 1u);
+  EXPECT_EQ(engine->stats().misses, 2u);
+}
+
+TEST(PrefetchEngine, OwnIwriteOverALandedBufferDropsIt) {
+  Testbed tb(4, 4);
+  tb.fs.create("f", tb.fs.default_attrs());
+  auto engine = attach_prefetcher(*tb.clients[0], PrefetchConfig{});
+  std::vector<std::byte> got(kBlock);
+  run_task(tb.sim, write_over_prefetch(tb, /*land=*/1.0, kBlock, /*async=*/true, got));
+  EXPECT_TRUE(check_pattern(got, 2, kBlock));
+  EXPECT_EQ(engine->stats().hits_ready, 0u);
+  EXPECT_EQ(engine->stats().stale_discarded, 1u);
+}
+
+TEST(PrefetchEngine, OwnIwriteDropsABufferPrefetchedWhileItWasUnderWay) {
+  // iwrite returns once the request is posted and an ART carries the write
+  // out later. Here the write is 256 KiB bound for one I/O node, and a
+  // 4 KiB prefetch hit right after the post starts a prefetch of the
+  // write's first 4 KiB. With a 16 KiB mesh MTU the prefetch's request
+  // passes between the write's segments, and the node serves it from its
+  // buffer cache before the write's data is in: the buffer holds tag 1.
+  // The write's completion drops it, and the read after iowait takes
+  // tag 2 from the servers.
+  constexpr ByteCount kUnit = 1024 * 1024;
+  constexpr ByteCount kSmall = 4096;
+  auto cfg = hw::MachineConfig::paragon(4, 4);
+  cfg.mesh.mtu = 16 * 1024;
+  Testbed tb(cfg, pfs::PfsParams{});
+  auto attrs = tb.fs.default_attrs();
+  attrs.stripe_unit = kUnit;
+  tb.fs.create("f", attrs);
+  auto engine = attach_prefetcher(*tb.clients[0], PrefetchConfig{});
+  std::vector<std::byte> got(kSmall);
+  run_task(tb.sim, [](Testbed& t, std::span<std::byte> out) -> Task<void> {
+    auto& c = *t.clients[0];
+    const int fd = co_await c.open("f", IoMode::kAsync);
+    c.set_fastpath(fd, false);  // reads go through the I/O nodes' buffer caches
+    co_await c.write(fd, make_pattern(1, 0, kUnit + kBlock));
+    std::vector<std::byte> small(kSmall);
+    {
+      // Client 1, which prefetches nothing, brings the write's first block
+      // into I/O node 1's buffer cache.
+      auto& warm = *t.clients[1];
+      const int wfd = co_await warm.open("f", IoMode::kAsync);
+      warm.set_fastpath(wfd, false);
+      co_await warm.seek(wfd, kUnit);
+      co_await warm.read(wfd, small);
+      warm.close(wfd);
+    }
+    co_await c.seek(fd, kUnit - 2 * kSmall);
+    co_await c.read(fd, small);  // a miss, which prefetches the next 4 KiB
+    co_await t.sim.delay(1.0);
+    co_await c.seek(fd, kUnit);
+    const auto tag2 = make_pattern(2, kUnit, 256 * 1024);
+    auto pending = co_await c.iwrite(fd, tag2);
+    co_await c.seek(fd, kUnit - kSmall);
+    co_await c.read(fd, small);  // a hit, which prefetches [kUnit, kUnit + 4 KiB)
+    co_await c.iowait(std::move(pending));
+    co_await c.read(fd, out);
+    c.close(fd);
+  }(tb, got));
+  EXPECT_TRUE(check_pattern(got, 2, kUnit));
+  EXPECT_EQ(engine->stats().hits_ready, 1u);
+  EXPECT_EQ(engine->stats().stale_discarded, 1u);
+  EXPECT_EQ(engine->stats().misses, 2u);
+}
+
+TEST(PrefetchEngine, OwnWriteCutShortByAFaultDropsTheBufferOfBytesItLanded) {
+  // The write of tag 2 over blocks 1 and 2 lands on block 1's I/O node, but
+  // block 2's node stays down past the request deadline, so the write fails.
+  // Block 1 holds tag 2 all the same, and its prefetched copy must go.
+  Testbed tb(4, 4);
+  tb.fs.create("f", tb.fs.default_attrs());
+  auto engine = attach_prefetcher(*tb.clients[0], PrefetchConfig{});
+  std::vector<std::byte> got(kBlock);
+  bool failed = false;
+  run_task(tb.sim, [](Testbed& t, std::span<std::byte> out, bool& threw) -> Task<void> {
+    auto& c = *t.clients[0];
+    const int fd = co_await c.open("f", IoMode::kAsync);
+    co_await c.write(fd, make_pattern(1, 0, 4 * kBlock));
+    co_await c.seek(fd, 0);
+    std::vector<std::byte> block0(kBlock);
+    co_await c.read(fd, block0);  // a miss, which prefetches block 1
+    co_await t.sim.delay(1.0);
+    t.fs.server(2).crash();
+    co_await c.seek(fd, kBlock);
+    try {
+      co_await c.write(fd, make_pattern(2, kBlock, 2 * kBlock));
+    } catch (const fault::FaultError&) {
+      threw = true;
+    }
+    co_await c.seek(fd, kBlock);
+    co_await c.read(fd, out);
+    c.close(fd);
+  }(tb, got, failed));
+  EXPECT_TRUE(failed);
+  EXPECT_TRUE(check_pattern(got, 2, kBlock));
+  EXPECT_EQ(engine->stats().hits_ready, 0u);
+  EXPECT_EQ(engine->stats().stale_discarded, 1u);
+}
+
+// With write tokens on, a write stays dirty in the client's write-back cache
+// until a flush sends it to the I/O nodes. A prefetch hit gets the dirty
+// bytes laid over it, as a miss's read does, and the flush drops the buffer.
+
+TEST(PrefetchEngine, OwnTokenWriteOfHalfALandedBufferReadsBothHalves) {
+  // The half-block write stays dirty, so the landed tag-1 buffer is served
+  // as a hit with the dirty tag-2 half laid over it.
+  pfs::PfsParams params;
+  params.write_tokens = true;
+  Testbed tb(4, 4, params);
+  tb.fs.create("f", tb.fs.default_attrs());
+  auto engine = attach_prefetcher(*tb.clients[0], PrefetchConfig{});
+  std::vector<std::byte> got(kBlock);
+  run_task(tb.sim, write_over_prefetch(tb, /*land=*/1.0, kBlock / 2, /*async=*/false, got));
+  const std::span<const std::byte> half(got);
+  EXPECT_TRUE(check_pattern(half.first(kBlock / 2), 2, kBlock));
+  EXPECT_TRUE(check_pattern(half.subspan(kBlock / 2), 1, kBlock + kBlock / 2));
+  EXPECT_EQ(engine->stats().hits_ready, 1u);
+}
+
+/// With write tokens on, through client 0 alone: writes and flushes four
+/// blocks of tag 1, writes tag 2 over the first half of block 1 (it stays
+/// dirty), reads block 0 (a miss, which prefetches block 1 from the servers'
+/// tag-1 bytes), waits 1 s for the prefetch to land, fsyncs when `flush`,
+/// and reads block 1 back into `out`.
+Task<void> dirty_half_then_prefetch(Testbed& t, bool flush, std::span<std::byte> out) {
+  auto& c = *t.clients[0];
+  const int fd = co_await c.open("f", IoMode::kAsync);
+  co_await c.write(fd, make_pattern(1, 0, 4 * kBlock));
+  co_await c.fsync(fd);
+  co_await c.seek(fd, kBlock);
+  co_await c.write(fd, make_pattern(2, kBlock, kBlock / 2));
+  co_await c.seek(fd, 0);
+  std::vector<std::byte> block0(kBlock);
+  co_await c.read(fd, block0);
+  co_await t.sim.delay(1.0);
+  if (flush) co_await c.fsync(fd);
+  co_await c.read(fd, out);
+  c.close(fd);
+}
+
+TEST(PrefetchEngine, OwnDirtyBytesOverlayABufferPrefetchedAfterTheWrite) {
+  pfs::PfsParams params;
+  params.write_tokens = true;
+  Testbed tb(4, 4, params);
+  tb.fs.create("f", tb.fs.default_attrs());
+  auto engine = attach_prefetcher(*tb.clients[0], PrefetchConfig{});
+  std::vector<std::byte> got(kBlock);
+  run_task(tb.sim, dirty_half_then_prefetch(tb, /*flush=*/false, got));
+  const std::span<const std::byte> half(got);
+  EXPECT_TRUE(check_pattern(half.first(kBlock / 2), 2, kBlock));
+  EXPECT_TRUE(check_pattern(half.subspan(kBlock / 2), 1, kBlock + kBlock / 2));
+  EXPECT_EQ(engine->stats().hits_ready, 1u);
+}
+
+TEST(PrefetchEngine, OwnFlushDropsABufferPrefetchedWhileTheBytesWereDirty) {
+  // After the fsync no dirty byte is left to lay over the tag-1 buffer, so
+  // the flush itself must drop it.
+  pfs::PfsParams params;
+  params.write_tokens = true;
+  Testbed tb(4, 4, params);
+  tb.fs.create("f", tb.fs.default_attrs());
+  auto engine = attach_prefetcher(*tb.clients[0], PrefetchConfig{});
+  std::vector<std::byte> got(kBlock);
+  run_task(tb.sim, dirty_half_then_prefetch(tb, /*flush=*/true, got));
+  const std::span<const std::byte> half(got);
+  EXPECT_TRUE(check_pattern(half.first(kBlock / 2), 2, kBlock));
+  EXPECT_TRUE(check_pattern(half.subspan(kBlock / 2), 1, kBlock + kBlock / 2));
+  EXPECT_EQ(engine->stats().hits_ready, 0u);
+  EXPECT_EQ(engine->stats().stale_discarded, 1u);
 }
 
 TEST(PrefetchEngine, CloseFreesBuffersAndCountsWaste) {
