@@ -5,12 +5,15 @@
 // benches run millions of events per sweep.
 #include <benchmark/benchmark.h>
 
+#include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "pfs/stripe.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
@@ -40,6 +43,31 @@ void BM_EventQueueThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventQueueThroughput)->Arg(1000)->Arg(100000);
+
+// A bare queue held at a fixed depth: each iteration pops the earliest
+// event and pushes one at an exponential delay (mean 1 ms) after it, so
+// nearly every pending event sits at a time of its own, as in an
+// event-heavy run (tenant_open keeps about 330 pending). The
+// throughput row above spreads its events over 97 times, so ties carry it.
+void BM_EventQueueRandomDelays(benchmark::State& state) {
+  const auto depth = static_cast<std::uint64_t>(state.range(0));
+  Rng rng(11);
+  std::vector<double> delays(4096);  // a power of two: the index wraps by mask
+  for (double& d : delays) d = rng.exponential(1e-3);
+  ppfs::sim::EventQueue q;
+  q.reserve(1024);
+  std::uint64_t seq = 0;
+  for (; seq < depth; ++seq) q.push(delays[seq], seq, std::coroutine_handle<>{});
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto e = q.pop();
+    benchmark::DoNotOptimize(e.seq);
+    q.push(e.t + delays[i], seq++, std::coroutine_handle<>{});
+    i = (i + 1) & (delays.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueRandomDelays)->Arg(50)->Arg(330)->Arg(1100);
 
 Task<void> hop(Simulation& sim, int hops) {
   for (int i = 0; i < hops; ++i) co_await sim.delay(0.001);

@@ -11,10 +11,10 @@
 //
 // The kernel section times bench_kernel_micro's EventQueueThroughput and
 // CoroutineDelayHops loop shapes, best of N repetitions. A deep-queue
-// section pushes 10^5..10^7 pending events (quantized times, so tie
-// buckets absorb most of them) through a bare EventQueue and drains it,
-// verifying the tie-batched heap degrades gracefully at production
-// backlog depths.
+// section pushes 10^5..10^7 pending events (times on a 1 us grid over one
+// second, so ten or more share each time at 10^7) into a bare EventQueue
+// and drains it, checking the (time, seq) drain order and recording the
+// radix queue's rate and memory at production backlog depths.
 //
 // Gated: every machine row completes every request with no app errors.
 // On the full run each machine row must also sustain >= 50k events/s
@@ -155,7 +155,7 @@ DeepQueueRow deep_queue(std::uint64_t n) {
   sim::Rng rng(7);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < n; ++i) {
-    // ~1 second horizon on a 1us grid: n >> 1e6 forces deep tie buckets.
+    // ~1 second horizon on a 1us grid: n >> 1e6 puts many events on each time.
     const double t = static_cast<double>(rng.uniform_int(0, 1000000)) * 1e-6;
     q.push(t, i, std::coroutine_handle<>{});
   }

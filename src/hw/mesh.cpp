@@ -61,12 +61,12 @@ void MeshNetwork::build_path_table() {
   sorted_pool_.resize(pair_off_.back());
   for (NodeId s = 0; s < n; ++s) {
     for (NodeId d = 0; d < n; ++d) {
-      std::size_t at = pair_off_[static_cast<std::size_t>(s) * n + d];
-      const std::size_t begin = at;
+      const std::size_t begin = pair_off_[static_cast<std::size_t>(s) * n + d];
+      std::size_t at = begin;
       walk_route(s, d, [&](int id) { path_pool_[at++] = id; });
-      std::copy(path_pool_.begin() + begin, path_pool_.begin() + at,
-                sorted_pool_.begin() + begin);
-      std::sort(sorted_pool_.begin() + begin, sorted_pool_.begin() + at);
+      const std::span<const int> path(path_pool_.data() + begin, at - begin);
+      std::size_t out = begin;
+      merge_route_runs(path, x_hops(s, d), [&](int id) { sorted_pool_[out++] = id; });
     }
   }
 }
@@ -78,6 +78,14 @@ std::vector<int> MeshNetwork::route(NodeId src, NodeId dst) const {
   path.reserve(static_cast<std::size_t>(hop_count(src, dst)));
   walk_route(src, dst, [&](int id) { path.push_back(id); });
   return path;
+}
+
+std::vector<int> MeshNetwork::acquisition_order(NodeId src, NodeId dst) const {
+  const std::vector<int> path = route(src, dst);
+  std::vector<int> order;
+  order.reserve(path.size());
+  merge_route_runs(path, x_hops(src, dst), [&](int id) { order.push_back(id); });
+  return order;
 }
 
 int MeshNetwork::hop_count(NodeId src, NodeId dst) const {
@@ -149,9 +157,12 @@ sim::Task<void> MeshNetwork::send(NodeId src, NodeId dst, ByteCount bytes) {
     ordered = table_span(sorted_pool_, src, dst);
   } else {
     walk_route(src, dst, [&](int id) { local_path.push_back(id); });
-    for (int id : local_path) local_sorted.push_back(id);
-    std::sort(local_sorted.begin(), local_sorted.end());
     path = {local_path.data(), local_path.size()};
+    // A named local on purpose: it keeps this frame in its FrameArena size
+    // class, which the AllocPerEvent pins count (EXPERIMENTS.md, "Host
+    // cost of the event queue").
+    const std::size_t xhops = x_hops(src, dst);
+    merge_route_runs(path, xhops, [&](int id) { local_sorted.push_back(id); });
     ordered = {local_sorted.data(), local_sorted.size()};
   }
   // ppfs::endhot
@@ -159,7 +170,7 @@ sim::Task<void> MeshNetwork::send(NodeId src, NodeId dst, ByteCount bytes) {
   // The message moves as nseg segments: one (the circuit, which holds the
   // whole route for the whole message) when the MTU is 0 or the message
   // fits in it, zero-byte messages included; ceil(bytes / mtu) otherwise.
-  // Each segment takes the full route in canonical (sorted) order, which
+  // Each segment takes the full route in canonical (ascending) order, which
   // is deadlock-free, but the route is yielded between segments when, and
   // only when, another message is queued on one of its links. So
   // uncontended traffic pays a single acquisition (O(path + segments)

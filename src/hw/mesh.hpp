@@ -5,7 +5,7 @@
 // segments. A segment holds every directed link on the message's path for
 // its wire time, which captures the head-of-line blocking that makes
 // concurrent full-file reads contend. Links along the path are acquired in
-// a canonical (sorted) order so concurrent setups cannot deadlock.
+// a canonical (ascending) order so concurrent setups cannot deadlock.
 //
 // With mtu == 0 (the legacy model), or a message that fits in the MTU, the
 // message is one segment: a circuit that holds the whole route for the
@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <utility>
@@ -78,6 +79,9 @@ class MeshNetwork {
   /// The directed link ids a message from src to dst traverses, in path
   /// order. Exposed for tests and the declustering demo.
   std::vector<int> route(NodeId src, NodeId dst) const;
+  /// The same links in the order a message acquires them: ascending id,
+  /// which keeps concurrent acquisitions deadlock-free. Exposed for tests.
+  std::vector<int> acquisition_order(NodeId src, NodeId dst) const;
 
   int hop_count(NodeId src, NodeId dst) const;
   const MeshConfig& config() const noexcept { return cfg_; }
@@ -130,6 +134,37 @@ class MeshNetwork {
     }
   }
 
+  // Emits a route's links in ascending id order. An X-then-Y route is two
+  // monotone runs of ids (a hop moves the node id by 1 along X and by the
+  // width along Y, in one direction per axis): its first `xhops` links and
+  // the rest. Walking each run from its low end and merging sorts the
+  // route without a sort.
+  template <typename Fn>
+  static void merge_route_runs(std::span<const int> path, std::size_t xhops, Fn&& fn) {
+    struct Run {
+      std::span<const int> ids;
+      bool down;  // descending in path order: walk it from the back
+      std::size_t i = 0;
+      bool done() const { return i == ids.size(); }
+      int front() const { return down ? ids[ids.size() - 1 - i] : ids[i]; }
+    };
+    const auto make = [](std::span<const int> ids) {
+      return Run{ids, ids.size() > 1 && ids[0] > ids[1]};
+    };
+    Run a = make(path.first(xhops));
+    Run b = make(path.subspan(xhops));
+    while (!a.done() && !b.done()) {
+      Run& lo = a.front() < b.front() ? a : b;
+      fn(lo.front());
+      ++lo.i;
+    }
+    for (; !a.done(); ++a.i) fn(a.front());
+    for (; !b.done(); ++b.i) fn(b.front());
+  }
+  std::size_t x_hops(NodeId src, NodeId dst) const {
+    return static_cast<std::size_t>(std::abs(src % cfg_.width - dst % cfg_.width));
+  }
+
   // Meshes up to this many nodes precompute every pair's route once; send()
   // then reads spans out of the pools instead of allocating per message.
   static constexpr int kPathTableMaxNodes = 256;
@@ -163,7 +198,7 @@ class MeshNetwork {
   std::vector<DegradedWindow> degraded_windows_;
 
   // Route table: link ids for every (src, dst) pair, in path order
-  // (path_pool_) and canonical acquisition order (sorted_pool_), both
+  // (path_pool_) and ascending acquisition order (sorted_pool_), both
   // indexed by pair_off_. Empty when the mesh exceeds kPathTableMaxNodes.
   std::vector<int> path_pool_;
   std::vector<int> sorted_pool_;

@@ -1,48 +1,56 @@
-// EventQueue: the kernel's owned time-ordered queue, tie-batched.
+// EventQueue: the kernel's owned time-ordered queue, a monotone radix heap.
 //
-// Discrete-event simulations of a parallel file system are saturated with
-// simultaneous events: every Resource grant, Event::set wakeup and Barrier
-// release lands at the current time, and lock-step compute nodes schedule
-// whole waves of message hops at identical future instants. A plain heap
-// pays a full O(log n) sift for each of them. This queue instead keeps one
-// heap node per *distinct pending time* (a "bucket") and appends ties to
-// that bucket's FIFO, so the common event costs a few stores, not a sift.
+// The kernel never schedules an event before `now` (Simulation clamps to
+// it), and `now` is the time of the last dispatched event. So every pending
+// time is at least that time, the *origin*, and a radix heap over the bits
+// of the time orders them without comparing events with each other.
 //
-//   heap node   {time-bits, first-seq, first-payload, bucket}  — 4-ary heap
-//   bucket FIFO chunked list of {seq, payload}, drained in push order
-//   append cache 256-entry direct-mapped {time-bits -> open bucket}
+// Times are keyed by their IEEE-754 bit patterns: non-negative doubles
+// order identically to their bit patterns (-0.0 is canonicalized to +0.0 on
+// push; NaN and negative times are caller bugs, asserted in debug builds).
+// An event goes to bucket bit_width(time_bits ^ origin_bits), the position
+// of the highest bit in which its time differs from the origin:
 //
-// Dispatch order is exactly the kernel's determinism contract — earliest
-// time first, ties by schedule sequence. The subtle part is the append
-// cache: a push whose time misses the cache *closes* whichever bucket the
-// slot held and opens a fresh one. A closed bucket can never be appended
-// to again, so when several buckets share one time they hold disjoint,
-// ascending sequence ranges in creation order, and the heap's (time,
-// first-seq) tie-break still yields globally sorted output. Draining a
-// bucket just advances its FIFO — the refilled heap node keeps the
-// smallest remaining sequence for that time, so it stays on top without a
-// sift.
+//   bucket 0     events at the origin, drained first-in, first-out
+//   bucket k>0   events that agree with the origin above bit k-1 and exceed
+//                it at bit k-1, so every event in bucket k is later than
+//                every event in buckets 0..k-1
 //
-// Times are compared as their IEEE-754 bit patterns: the kernel never
-// schedules negative times (Simulation clamps to `now`), and non-negative
-// doubles order identically to their bit patterns, which makes every heap
-// comparison two integer compares instead of a double compare ladder.
-// (-0.0 is canonicalized to +0.0 on push; NaN times are a caller bug,
-// asserted in debug builds.)
+// Pop takes bucket 0's head. When bucket 0 is empty, the minimum of the
+// lowest non-empty bucket becomes the origin and that bucket's events are
+// redistributed, in their stored order, into the buckets below it (which
+// are all empty): each lands strictly lower, the new minimum's in bucket 0.
+// A bucket that holds one time only becomes bucket 0 whole.
+// An event moves down at most 63 times over its life, and in practice a
+// few; a pop costs a mask scan and a walk of one bucket, not a heap sift
+// of unpredictable compares.
 //
-// Payloads relocate as raw words (a coroutine handle or a trivially-
-// relocatable SmallFn), so sifts and FIFO traffic are plain copies — no
-// callable moves, no destructor calls, and no allocation once the pools
-// have grown to the run's high-water mark.
+// Dispatch order is exactly the kernel's determinism contract, earliest
+// time first and ties by schedule sequence. Sequences rise with every push,
+// so each bucket's stored order keeps events of equal time in sequence
+// order: a push appends the largest sequence yet, and a redistribution
+// appends a bucket's events in stored order into empty buckets.
+//
+// Each bucket is a chain of fixed-size chunks drawn from one pool with a
+// free list. The pool grows only when its free list and its newest block
+// are both used up, that is with the number of pending events, and
+// reserve() makes the first block in one allocation. Payloads (a coroutine
+// handle or a trivially-relocatable SmallFn) move as raw words; nothing is
+// allocated once the pool has grown to the run's high-water mark.
+//
+// top_time() peeks without moving the origin (each bucket keeps its
+// minimum), so a run(until) that stops early leaves the queue ready for an
+// event scheduled between `now` and the pending minimum.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <utility>
-#include <vector>
 
 #include "sim/small_fn.hpp"
 #include "sim/types.hpp"
@@ -60,6 +68,18 @@ class EventQueue {
     SmallFn fn;
   };
 
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  ~EventQueue() {
+    clear();
+    while (blocks_ != nullptr) {
+      Block* older = blocks_->older;
+      ::operator delete(blocks_);
+      blocks_ = older;
+    }
+  }
+
   bool empty() const noexcept { return count_ == 0; }
   std::size_t size() const noexcept { return count_; }
 
@@ -68,31 +88,28 @@ class EventQueue {
   /// bench gates on this to prove deep-backlog runs stay tractable.
   std::size_t peak_pending() const noexcept { return peak_count_; }
 
-  /// Bytes of owned storage (heap nodes, tie buckets, chunk pool, free
-  /// lists, append cache). Capacities, not sizes: pools only grow, so this
-  /// is the footprint high-water the queue will hold until destruction.
-  std::size_t memory_bytes() const noexcept {
-    return heap_.capacity() * sizeof(Node) + buckets_.capacity() * sizeof(Bucket) +
-           chunks_.capacity() * sizeof(Chunk) +
-           (free_buckets_.capacity() + free_chunks_.capacity()) * sizeof(std::uint32_t) +
-           sizeof(cache_);
-  }
+  /// Bytes of owned storage: the chunk pool's blocks plus the bucket table.
+  /// The pool only grows, so this is the footprint high-water the queue
+  /// will hold until destruction.
+  std::size_t memory_bytes() const noexcept { return block_bytes_ + sizeof(buckets_); }
 
   /// Time of the earliest pending event. Precondition: !empty().
   SimTime top_time() const noexcept {
     assert(count_ != 0);
-    return std::bit_cast<SimTime>(heap_.front().tb);
+    const std::uint64_t tb = (mask_ & 1) != 0 ? origin_ : buckets_[lowest(mask_)].min;
+    return std::bit_cast<SimTime>(tb);
   }
 
+  /// Make room for `n` pending events, in any arrangement over the
+  /// buckets, in one allocation.
   void reserve(std::size_t n) {
-    heap_.reserve(n);
-    buckets_.reserve(n);
-    chunks_.reserve(n / kChunkCap + 1);
-    free_buckets_.reserve(n);
-    free_chunks_.reserve(n / kChunkCap + 1);
+    const std::size_t want = n / kChunkCap + kBuckets + 1;
+    if (want > pool_chunks_) add_block(want - pool_chunks_);
   }
 
   // ppfs::hot — per-event push/pop pair; every simulated event passes through here
+  /// Queue an event. Precondition: `t` is no earlier than the last popped
+  /// event's time (Simulation's `now`), or any time after clear().
   void push(SimTime t, std::uint64_t seq, std::coroutine_handle<> h) {
     push_impl(t, seq, reinterpret_cast<std::uintptr_t>(h.address()), SmallFn{});
   }
@@ -104,194 +121,197 @@ class EventQueue {
   /// Remove and return the earliest event. Precondition: !empty().
   Entry pop() {
     assert(count_ != 0);
+    if ((mask_ & 1) == 0) refill();
     --count_;
-    Node& top = heap_.front();
-    Entry e{std::bit_cast<SimTime>(top.tb), top.seq0,
-            std::coroutine_handle<>::from_address(reinterpret_cast<void*>(top.h0)),
-            std::move(top.fn0)};
-    Bucket& b = buckets_[top.bucket];
-    if (b.head != kNone) {
-      // More ties pending at this time: promote the FIFO head into the
-      // node. It keeps the smallest remaining (time, seq) globally —
-      // later buckets at this time hold strictly larger sequences — so
-      // the node stays on top with no sift.
-      Chunk& hc = chunks_[b.head];
-      Ev& ev = hc.ev[b.ridx++];
-      top.seq0 = ev.seq;
-      top.h0 = ev.h;
-      top.fn0 = std::move(ev.fn);
-      if (b.ridx == hc.n) {
-        const std::uint32_t next = hc.next;
-        free_chunks_.push_back(b.head);
-        b.ridx = 0;
-        b.head = next;
-        if (next == kNone) b.tail = kNone;
+    Bucket& b = buckets_[0];
+    Chunk* c = b.head;
+    Ev* ev = c->at(head_idx_++);
+    Entry e{std::bit_cast<SimTime>(origin_), ev->seq,
+            std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ev->h)),
+            std::move(ev->fn)};
+    ev->~Ev();
+    if (head_idx_ == c->n) {
+      // The head chunk is drained: a full chunk hands over to its
+      // successor, the tail chunk empties the bucket.
+      b.head = c->next;
+      head_idx_ = 0;
+      free_chunk(c);
+      if (b.head == nullptr) {
+        b.tail = nullptr;
+        mask_ &= ~std::uint64_t{1};
       }
-      return e;
     }
-    // Bucket drained: retire it and delete the heap root.
-    CacheEnt& ce = cache_[cache_slot(top.tb)];
-    if (ce.tb == top.tb && ce.bucket == top.bucket) ce.tb = kEmptyTb;
-    free_buckets_.push_back(top.bucket);
-    Node last = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(std::move(last));
     return e;
   }
   // ppfs::endhot
 
   /// Drop every pending event (callback state is destroyed; queued
   /// coroutine handles are simply forgotten — teardown owns their frames).
+  /// The pool keeps its blocks, and the next push may be at any time.
   void clear() noexcept {
-    heap_.clear();
-    buckets_.clear();
-    chunks_.clear();
-    free_buckets_.clear();
-    free_chunks_.clear();
-    invalidate_cache();
+    for (std::uint64_t m = mask_; m != 0; m &= m - 1) {
+      const int k = lowest(m);
+      std::uint32_t first = k == 0 ? head_idx_ : 0;  // bucket 0's popped slots are dead
+      for (Chunk* c = buckets_[k].head; c != nullptr;) {
+        for (std::uint32_t i = first; i < c->n; ++i) c->at(i)->~Ev();
+        first = 0;
+        Chunk* next = c->next;
+        free_chunk(c);
+        c = next;
+      }
+      buckets_[k] = Bucket{};
+    }
+    mask_ = 0;
+    head_idx_ = 0;
+    origin_ = 0;
     count_ = 0;
   }
 
  private:
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-  static constexpr std::uint64_t kEmptyTb = 0xFFFFFFFFFFFFFFFFull;  // -NaN: unschedulable
   static constexpr std::uint64_t kNegZeroTb = 0x8000000000000000ull;
-  static constexpr std::uint32_t kChunkCap = 12;
-  static constexpr std::uint32_t kCacheSize = 256;  // power of two
+  static constexpr std::uint64_t kNoTime = ~std::uint64_t{0};  // above every time
+  static constexpr int kBuckets = 64;                           // bit_width(xor) of 63-bit keys
+  static constexpr std::uint32_t kChunkCap = 13;                // 16 + 13 * 48 = 640 bytes
+  static constexpr std::size_t kMinBlockChunks = 64;
+  static constexpr std::size_t kMaxBlockChunks = 4096;
 
   struct Ev {
+    std::uint64_t tb;  // time as ordered bit pattern
     std::uint64_t seq;
     std::uintptr_t h;
     SmallFn fn;
   };
+  // Slots are raw storage: an Ev lives in a slot from its append until it
+  // is popped or moved to another bucket.
   struct Chunk {
-    Ev ev[kChunkCap];
-    std::uint32_t next = kNone;
-    std::uint32_t n = 0;
+    Chunk* next;
+    std::uint32_t n;  // slots filled
+    alignas(Ev) unsigned char slots[kChunkCap * sizeof(Ev)];
+    void* slot(std::uint32_t i) noexcept { return slots + i * sizeof(Ev); }
+    Ev* at(std::uint32_t i) noexcept { return std::launder(static_cast<Ev*>(slot(i))); }
   };
+  // Bucket 0's bounds go stale and are never read: its time is the origin.
   struct Bucket {
-    std::uint32_t head = kNone;
-    std::uint32_t tail = kNone;
-    std::uint32_t ridx = 0;
+    Chunk* head = nullptr;
+    Chunk* tail = nullptr;
+    std::uint64_t min = kNoTime;  // smallest time bits in the bucket
+    std::uint64_t max = 0;        // largest
   };
-  struct Node {
-    std::uint64_t tb;    // time as ordered bit pattern
-    std::uint64_t seq0;  // sequence of the bucket's next-out event
-    std::uintptr_t h0;
-    SmallFn fn0;
-    std::uint32_t bucket;
+  // A pool block: this header, then its chunks.
+  struct Block {
+    Block* older;
   };
-  struct CacheEnt {
-    std::uint64_t tb = kEmptyTb;
-    std::uint32_t bucket = 0;
-  };
+  static_assert(sizeof(Block) % alignof(Chunk) == 0);
 
-  static bool earlier(const Node& a, const Node& b) noexcept {
-    return a.tb < b.tb || (a.tb == b.tb && a.seq0 < b.seq0);
-  }
-
-  static std::size_t cache_slot(std::uint64_t tb) noexcept {
-    return static_cast<std::size_t>((tb * 0x9E3779B97F4A7C15ull) >> 56) & (kCacheSize - 1);
-  }
-
-  void invalidate_cache() noexcept {
-    for (CacheEnt& ce : cache_) ce = CacheEnt{};
-  }
+  int bucket_of(std::uint64_t tb) const noexcept { return std::bit_width(tb ^ origin_); }
+  // The lowest set bit of a non-zero mask. The & is a no-op there; it
+  // shows the compiler the index is in range, which -Warray-bounds at -O3
+  // cannot infer from the caller's precondition.
+  static int lowest(std::uint64_t m) noexcept { return std::countr_zero(m) & (kBuckets - 1); }
 
   void push_impl(SimTime t, std::uint64_t seq, std::uintptr_t h, SmallFn fn) {
     assert(t == t && "EventQueue: NaN event time");
     std::uint64_t tb = std::bit_cast<std::uint64_t>(t);
     if (tb == kNegZeroTb) tb = 0;  // -0.0 sorts (and digests) as +0.0
+    assert(tb < kNegZeroTb && "EventQueue: negative event time");
+    assert(tb >= origin_ && "EventQueue: event earlier than the last popped one");
     ++count_;
     if (count_ > peak_count_) peak_count_ = count_;
-    CacheEnt& ce = cache_[cache_slot(tb)];
-    if (ce.tb == tb) {
-      append(buckets_[ce.bucket], seq, h, std::move(fn));
+    append(bucket_of(tb), tb, seq, h, std::move(fn));
+  }
+
+  void append(int k, std::uint64_t tb, std::uint64_t seq, std::uintptr_t h, SmallFn&& fn) {
+    Bucket& b = buckets_[k];
+    Chunk* c = b.tail;
+    if (c == nullptr || c->n == kChunkCap) {
+      Chunk* fresh = alloc_chunk();
+      if (c == nullptr) {
+        b.head = fresh;
+      } else {
+        c->next = fresh;
+      }
+      b.tail = c = fresh;
+    }
+    ::new (c->slot(c->n++)) Ev{tb, seq, h, std::move(fn)};
+    b.min = std::min(b.min, tb);
+    b.max = std::max(b.max, tb);
+    mask_ |= std::uint64_t{1} << k;
+  }
+
+  // Bucket 0 is empty: make the lowest non-empty bucket's minimum the
+  // origin and spread that bucket's events, in stored order, below it.
+  void refill() {
+    const int k = lowest(mask_);
+    Bucket& src = buckets_[k];
+    Chunk* c = src.head;
+    origin_ = src.min;
+    head_idx_ = 0;
+    if (src.min == src.max) {
+      // One time only (a lone event, or a batch of ties): the whole chain
+      // becomes bucket 0 as it stands.
+      buckets_[0] = src;
+      src = Bucket{};
+      mask_ = (mask_ & (mask_ - 1)) | 1;
       return;
     }
-    // Miss: implicitly close whatever bucket held this slot and open a
-    // fresh one with the event inline in its heap node.
-    std::uint32_t bi;
-    if (!free_buckets_.empty()) {
-      bi = free_buckets_.back();
-      free_buckets_.pop_back();
-      buckets_[bi] = Bucket{};
-    } else {
-      bi = static_cast<std::uint32_t>(buckets_.size());
-      buckets_.emplace_back();
-    }
-    ce.tb = tb;
-    ce.bucket = bi;
-    sift_up(Node{tb, seq, h, std::move(fn), bi});
-  }
-
-  void append(Bucket& b, std::uint64_t seq, std::uintptr_t h, SmallFn fn) {
-    if (b.tail == kNone) {
-      const std::uint32_t c = alloc_chunk();
-      b.head = b.tail = c;
-      b.ridx = 0;
-    } else if (chunks_[b.tail].n == kChunkCap) {
-      const std::uint32_t c = alloc_chunk();
-      chunks_[b.tail].next = c;
-      b.tail = c;
-    }
-    Chunk& tc = chunks_[b.tail];
-    Ev& ev = tc.ev[tc.n++];
-    ev.seq = seq;
-    ev.h = h;
-    ev.fn = std::move(fn);
-  }
-
-  std::uint32_t alloc_chunk() {
-    if (!free_chunks_.empty()) {
-      const std::uint32_t c = free_chunks_.back();
-      free_chunks_.pop_back();
-      chunks_[c].next = kNone;
-      chunks_[c].n = 0;
-      return c;
-    }
-    chunks_.emplace_back();
-    return static_cast<std::uint32_t>(chunks_.size() - 1);
-  }
-
-  // Hole-based insertion: bubble the hole up, write the new node once.
-  void sift_up(Node n) {
-    std::size_t i = heap_.size();
-    heap_.emplace_back();  // grows storage; value overwritten below
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!earlier(n, heap_[parent])) break;
-      heap_[i] = std::move(heap_[parent]);
-      i = parent;
-    }
-    heap_[i] = std::move(n);
-  }
-
-  // Re-seat `v` (the old last element) starting from the root hole.
-  void sift_down(Node v) {
-    const std::size_t n = heap_.size();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t end = first + 4 < n ? first + 4 : n;
-      for (std::size_t c = first + 1; c < end; ++c) {
-        best = earlier(heap_[c], heap_[best]) ? c : best;
+    src = Bucket{};
+    mask_ &= mask_ - 1;
+    while (c != nullptr) {
+      for (std::uint32_t i = 0; i < c->n; ++i) {
+        Ev* ev = c->at(i);
+        append(bucket_of(ev->tb), ev->tb, ev->seq, ev->h, std::move(ev->fn));
+        ev->~Ev();
       }
-      if (!earlier(heap_[best], v)) break;
-      heap_[i] = std::move(heap_[best]);
-      i = best;
+      Chunk* next = c->next;
+      free_chunk(c);
+      c = next;
     }
-    heap_[i] = std::move(v);
   }
 
-  std::vector<Node> heap_;        // one node per distinct pending time
-  std::vector<Bucket> buckets_;   // overflow FIFOs, indexed by Node::bucket
-  std::vector<Chunk> chunks_;
-  std::vector<std::uint32_t> free_buckets_;
-  std::vector<std::uint32_t> free_chunks_;
-  CacheEnt cache_[kCacheSize];
+  Chunk* alloc_chunk() {
+    Chunk* c = free_;
+    if (c != nullptr) {
+      free_ = c->next;
+    } else {
+      if (bump_ == bump_end_) add_block(std::clamp(pool_chunks_, kMinBlockChunks, kMaxBlockChunks));
+      c = ::new (static_cast<void*>(bump_++)) Chunk;
+    }
+    c->next = nullptr;
+    c->n = 0;
+    return c;
+  }
+
+  void free_chunk(Chunk* c) noexcept {
+    c->next = free_;
+    free_ = c;
+  }
+
+  // One allocation of `nchunks` chunks. Chunks are handed out from the
+  // newest block by bumping, so a block's memory is first touched when
+  // the queue first needs it. Leftovers of the previous block go to the
+  // free list.
+  void add_block(std::size_t nchunks) {
+    while (bump_ != bump_end_) free_chunk(::new (static_cast<void*>(bump_++)) Chunk);
+    const std::size_t bytes = sizeof(Block) + nchunks * sizeof(Chunk);
+    auto* blk = static_cast<Block*>(::operator new(bytes));
+    blk->older = blocks_;
+    blocks_ = blk;
+    bump_ = reinterpret_cast<Chunk*>(blk + 1);
+    bump_end_ = bump_ + nchunks;
+    pool_chunks_ += nchunks;
+    block_bytes_ += bytes;
+  }
+
+  Bucket buckets_[kBuckets];
+  std::uint64_t mask_ = 0;     // bit k set: bucket k is non-empty
+  std::uint64_t origin_ = 0;   // time bits of the last popped event
+  std::uint32_t head_idx_ = 0; // bucket 0's next slot in its head chunk
+  Chunk* free_ = nullptr;
+  Chunk* bump_ = nullptr;
+  Chunk* bump_end_ = nullptr;
+  Block* blocks_ = nullptr;    // newest first
+  std::size_t pool_chunks_ = 0;
+  std::size_t block_bytes_ = 0;
   std::size_t count_ = 0;
   std::size_t peak_count_ = 0;
 };

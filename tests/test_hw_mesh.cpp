@@ -2,6 +2,7 @@
 // Unit tests for the mesh interconnect, node CPU model, and Machine wiring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -40,6 +41,23 @@ TEST(Mesh, DimensionOrderedRoutingGoesXFirst) {
   EXPECT_EQ(path[3], 3 * 4 + 2);
   EXPECT_EQ(path[4], 7 * 4 + 2);
   EXPECT_EQ(path[5], 11 * 4 + 2);
+}
+
+TEST(Mesh, AcquisitionOrderIsTheSortedRoute) {
+  // 18x18 is past the route table (tenant_open's mesh: send merges per
+  // message); 5x7 has the table and a width that is not the height.
+  for (const MeshConfig cfg : {MeshConfig{.width = 18, .height = 18},
+                               MeshConfig{.width = 5, .height = 7}}) {
+    Simulation sim;
+    MeshNetwork mesh(sim, cfg);
+    for (NodeId s = 0; s < cfg.node_count(); ++s) {
+      for (NodeId d = 0; d < cfg.node_count(); ++d) {
+        std::vector<int> sorted = mesh.route(s, d);
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(mesh.acquisition_order(s, d), sorted) << s << " -> " << d;
+      }
+    }
+  }
 }
 
 TEST(Mesh, ReverseRouteUsesDifferentLinks) {

@@ -1,14 +1,20 @@
 // ppfs-lint: allow-file(ref-across-await) test idiom: coroutine referents are stack locals and the test blocks in sim.run()/run_task() before they die
-// Unit tests for the discrete-event kernel: Simulation, Task, Event,
-// Barrier, Resource, when_all, Rng determinism.
+// Unit tests for the discrete-event kernel: Simulation, EventQueue, Task,
+// Event, Barrier, Resource, when_all, Rng determinism.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <coroutine>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/event.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulation.hpp"
@@ -84,13 +90,146 @@ TEST(Simulation, LargeCaptureCallbackRuns) {
 TEST(Simulation, RunUntilStopsBeforeLaterEvents) {
   Simulation sim;
   int count = 0;
-  sim.call_at(1.0, [&] { ++count; });
-  sim.call_at(5.0, [&] { ++count; });
+  std::vector<double> order;
+  sim.call_at(1.0, [&] { ++count; order.push_back(sim.now()); });
+  sim.call_at(5.0, [&] { ++count; order.push_back(sim.now()); });
   sim.run(2.0);
   EXPECT_EQ(count, 1);
   EXPECT_EQ(sim.pending_events(), 1u);
+  // run(2.0) looked at the 5.0 event before it stopped; an event scheduled
+  // afterwards between now and 5.0 must still dispatch first.
+  sim.call_at(3.0, [&] { ++count; order.push_back(sim.now()); });
   sim.run();
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(order, (std::vector<double>{1.0, 3.0, 5.0}));
+}
+
+// Drives an EventQueue and a reference heap over (time, seq) through the
+// same program and checks that every pop matches: time, sequence and
+// payload. Payloads rotate through a coroutine handle (a fake address the
+// queue never resumes), an inline callback and a boxed one, whose captured
+// token counts the callbacks still alive.
+class QueueVsReference {
+ public:
+  void push(SimTime t) {
+    const std::uint64_t seq = next_seq_++;
+    switch (seq % 3) {
+      case 0:
+        q_.push(t, seq, handle_for(seq));
+        break;
+      case 1:
+        q_.push(t, seq, [this, seq] { got_ = seq; });
+        break;
+      default:
+        q_.push(t, seq, [this, seq, token = token_] { got_ = seq + *token; });
+        break;
+    }
+    ref_.push(Ref{t, seq});
+  }
+
+  ::testing::AssertionResult pop() {
+    if (q_.empty() != ref_.empty() || q_.size() != ref_.size()) {
+      return ::testing::AssertionFailure() << "size " << q_.size() << ", reference " << ref_.size();
+    }
+    const Ref want = ref_.top();
+    ref_.pop();
+    if (q_.top_time() != want.t) {
+      return ::testing::AssertionFailure() << "top_time " << q_.top_time() << ", want " << want.t;
+    }
+    EventQueue::Entry e = q_.pop();
+    if (e.t != want.t || std::signbit(e.t) || e.seq != want.seq) {
+      return ::testing::AssertionFailure() << "popped (" << e.t << ", " << e.seq << "), want ("
+                                           << want.t << ", " << want.seq << ")";
+    }
+    if (want.seq % 3 == 0) {
+      if (e.h != handle_for(want.seq) || e.fn) return ::testing::AssertionFailure() << "handle payload";
+    } else {
+      got_ = ~std::uint64_t{0};
+      if (e.h || !e.fn) return ::testing::AssertionFailure() << "callback payload";
+      e.fn();
+      if (got_ != want.seq) return ::testing::AssertionFailure() << "callback of seq " << got_;
+    }
+    now_ = e.t;
+    return ::testing::AssertionSuccess();
+  }
+
+  /// Empties both sides. The queue also reserves room for more events
+  /// than the program has pushed, which starts a new pool block while the
+  /// current one still has unused chunks.
+  void clear() {
+    q_.clear();
+    q_.reserve(4 * next_seq_);
+    ref_ = {};
+    now_ = 0;
+  }
+
+  SimTime now() const { return now_; }
+  bool empty() const { return ref_.empty(); }
+  /// Boxed callbacks alive in the queue.
+  long boxed_alive() const { return token_.use_count() - 1; }
+
+ private:
+  struct Ref {
+    SimTime t;
+    std::uint64_t seq;
+    bool operator>(const Ref& o) const { return t > o.t || (t == o.t && seq > o.seq); }
+  };
+  static std::coroutine_handle<> handle_for(std::uint64_t seq) {
+    return std::coroutine_handle<>::from_address(reinterpret_cast<void*>((seq + 1) << 4));
+  }
+
+  EventQueue q_;
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t got_ = 0;
+  SimTime now_ = 0;
+  std::shared_ptr<const std::uint64_t> token_ = std::make_shared<const std::uint64_t>(0);
+};
+
+/// A time no earlier than `now`: a tie at now, a tie on a coarse grid, the
+/// next double up, a near or a far exponential delay, or -0.0 at time 0.
+SimTime next_time(Rng& rng, SimTime now) {
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+      return now;
+    case 1:  // a multiple of 1/4 (exact: now / 0.25 and the product are)
+      return (std::ceil(now / 0.25) + static_cast<double>(rng.uniform_int(0, 3))) * 0.25;
+    case 2:
+      return std::nextafter(now, kTimeInfinity);
+    case 3:
+      return now + rng.exponential(0.01);
+    case 4:
+      return now + rng.exponential(10.0);
+    default:
+      return now == 0 ? -0.0 : now;
+  }
+}
+
+TEST(EventQueue, RandomProgramsMatchAReferenceHeap) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    QueueVsReference c;
+    for (int step = 0; step < 3000; ++step) {
+      const double u = rng.uniform01();
+      if (u < 0.52 || c.empty()) {
+        c.push(next_time(rng, c.now()));
+      } else if (u < 0.997) {
+        ASSERT_TRUE(c.pop());
+      } else {
+        c.clear();  // drops every callback; the next push may be at 0 again
+        ASSERT_EQ(c.boxed_alive(), 0);
+      }
+    }
+    while (!c.empty()) ASSERT_TRUE(c.pop());
+    EXPECT_EQ(c.boxed_alive(), 0);
+  }
+  // A deep drain: 10^5 events pushed at time 0, mostly ties.
+  Rng rng(99);
+  QueueVsReference c;
+  for (int i = 0; i < 100000; ++i) c.push(next_time(rng, 0.0));
+  while (!c.empty()) ASSERT_TRUE(c.pop());
+  EXPECT_EQ(c.boxed_alive(), 0);
 }
 
 TEST(Simulation, DelayAdvancesTime) {
